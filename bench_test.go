@@ -377,11 +377,23 @@ func BenchmarkRecommenderMonthTrace(b *testing.B) {
 	b.ReportMetric(float64(43200*b.N)/b.Elapsed().Seconds(), "obs_minutes/s")
 }
 
+// cpuRange spells CPU-only tenant bounds.
+func cpuRange(initial, min, max int) caasper.ResourceRange {
+	return caasper.ResourceRange{
+		Initial: caasper.Resources{CPUCores: initial},
+		Limits: caasper.ResourceLimits{
+			Min: caasper.Resources{CPUCores: min},
+			Max: caasper.Resources{CPUCores: max},
+		},
+	}
+}
+
 // benchFleetSpecs builds an n-tenant fleet over minutes-long demand traces
 // (eight workday-derived variants, shared read-only across tenants) plus a
-// cluster sized to host one 1-core pod per tenant with scale-up head-room.
-// The cluster is built per call: a fleet run binds pods to it.
-func benchFleetSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caasper.FleetOptions) {
+// cluster of the given node count with 2048 cores in total, enough to host
+// one 1-core pod per tenant with scale-up head-room. The cluster is built
+// per call: a fleet run binds pods to it.
+func benchFleetSpecs(b *testing.B, n, minutes, nodeCount int) ([]caasper.TenantSpec, caasper.FleetOptions) {
 	b.Helper()
 	const variants = 8
 	traces := make([]*caasper.Trace, variants)
@@ -401,16 +413,14 @@ func benchFleetSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 			NewRecommender: func() (caasper.Recommender, error) {
 				return caasper.NewReactive(caasper.DefaultConfig(4), 40)
 			},
-			InitialCores: 1,
-			MinCores:     1,
-			MaxCores:     4,
+			Resources:    cpuRange(1, 1, 4),
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}
 	}
-	nodes := make([]*k8s.Node, 32)
+	nodes := make([]*k8s.Node, nodeCount)
 	for i := range nodes {
-		nodes[i] = k8s.NewNode(fmt.Sprintf("bench-node-%02d", i), 64, 256)
+		nodes[i] = k8s.NewNode(fmt.Sprintf("bench-node-%02d", i), 2048/nodeCount, float64(8192/nodeCount))
 	}
 	cluster, err := k8s.NewCluster(nodes...)
 	if err != nil {
@@ -422,12 +432,12 @@ func benchFleetSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 	return specs, opts
 }
 
-// benchFleet runs the shared fleet benchmark body under the given engine,
-// reporting tenant_minutes/s.
-func benchFleet(b *testing.B, tenants, minutes int, engine string) {
+// benchFleet runs the shared fleet benchmark body under the given engine
+// on nodeCount nodes, reporting tenant_minutes/s.
+func benchFleet(b *testing.B, tenants, minutes, nodeCount int, engine string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		specs, opts := benchFleetSpecs(b, tenants, minutes)
+		specs, opts := benchFleetSpecs(b, tenants, minutes, nodeCount)
 		opts.Engine = engine
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
@@ -441,7 +451,7 @@ func benchFleet(b *testing.B, tenants, minutes int, engine string) {
 // exercising the segment-batched observe phase and the sequential
 // arbitration phase.
 func BenchmarkFleetTick(b *testing.B) {
-	benchFleet(b, 1000, 60, caasper.FleetEngineStepped)
+	benchFleet(b, 1000, 60, 32, caasper.FleetEngineStepped)
 }
 
 // BenchmarkFleetTickEvents is BenchmarkFleetTick under the discrete-event
@@ -449,7 +459,7 @@ func BenchmarkFleetTick(b *testing.B) {
 // this bounds the event engine's overhead on its worst-case input rather
 // than showing its best case — see BenchmarkFleetMonth100k for that.
 func BenchmarkFleetTickEvents(b *testing.B) {
-	benchFleet(b, 1000, 60, caasper.FleetEngineEvents)
+	benchFleet(b, 1000, 60, 32, caasper.FleetEngineEvents)
 }
 
 // BenchmarkFleetWeek1k is a headline scale demonstration: 1000 tenants
@@ -458,7 +468,7 @@ func BenchmarkFleetTickEvents(b *testing.B) {
 // state it stays bounded by the traces and per-tenant fixtures, not the
 // replay length.
 func BenchmarkFleetWeek1k(b *testing.B) {
-	benchFleet(b, 1000, 7*24*60, caasper.FleetEngineStepped)
+	benchFleet(b, 1000, 7*24*60, 32, caasper.FleetEngineStepped)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.Sys)/(1<<20), "heap_sys_MB")
@@ -468,10 +478,18 @@ func BenchmarkFleetWeek1k(b *testing.B) {
 // discrete-event engine (same noisy-trace caveat as
 // BenchmarkFleetTickEvents).
 func BenchmarkFleetWeek1kEvents(b *testing.B) {
-	benchFleet(b, 1000, 7*24*60, caasper.FleetEngineEvents)
+	benchFleet(b, 1000, 7*24*60, 32, caasper.FleetEngineEvents)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.Sys)/(1<<20), "heap_sys_MB")
+}
+
+// BenchmarkFleetWeek1kEventsOneGroup is BenchmarkFleetWeek1kEvents with
+// every tenant on one wide node of the same total capacity: the fleet is
+// a single shard group, so the events engine fans phase 1 out over the
+// workers inside it instead of across groups.
+func BenchmarkFleetWeek1kEventsOneGroup(b *testing.B) {
+	benchFleet(b, 1000, 7*24*60, 1, caasper.FleetEngineEvents)
 }
 
 // benchMonthSpecs builds the 100 000-tenant month fleet: 24 shared
@@ -515,9 +533,7 @@ func benchMonthSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 				// each inflection, bounding the awake ticks per plateau.
 				return caasper.NewReactive(caasper.DefaultConfig(4), 20)
 			},
-			InitialCores: 1,
-			MinCores:     1,
-			MaxCores:     4,
+			Resources:    cpuRange(1, 1, 4),
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}

@@ -233,9 +233,8 @@ func NewMultiResource(cfg MultiResourceConfig) (*core.MultiResourceRecommender, 
 //
 // The resource-vector API generalises the CPU-only bounds to
 // CPU + RAM + disk + replicas. Every options struct (SimOptions,
-// LiveOptions, TenantSpec) carries a ResourceRange next to its deprecated
-// scalar CPU fields; non-zero scalars win, so CPU-only callers behave
-// byte-identically.
+// LiveOptions, TenantSpec) states its bounds as one ResourceRange; a
+// CPU-only caller sets just the CPU entries.
 
 // Resources is one point in resource space: CPU cores, RAM GB, disk GB
 // and replica count.
@@ -509,9 +508,9 @@ const (
 // shard-parallel mode (the default, also selected by "") partitions the
 // fleet into node-disjoint shard groups — tenants that can never contend
 // for the same node's capacity — and runs them concurrently, merging the
-// per-shard outputs back into the single-shard byte order afterwards.
-// FleetShardingOff forces the single-shard reference loop; results and
-// event streams are byte-identical either way.
+// per-shard outputs back into the stepped engine's byte order afterwards.
+// FleetShardingOff puts every tenant in one group of the same loop;
+// results and event streams are byte-identical either way.
 const (
 	FleetShardingAuto = fleet.ShardingAuto
 	FleetShardingOff  = fleet.ShardingOff
@@ -535,9 +534,7 @@ func RunFleet(tenants []TenantSpec, opts FleetOptions) (*FleetResult, error) {
 
 // RunHooks is the telemetry/fault knob set shared by SimOptions,
 // LiveOptions and FleetOptions: an event sink, a metrics registry and a
-// fault spec + seed, embedded in each options struct under one canonical
-// spelling. The older per-struct fields remain as deprecated aliases that
-// win when set.
+// fault spec + seed, embedded in each options struct under one spelling.
 type RunHooks = hooks.RunHooks
 
 // FaultSpec is a parsed fault-injection specification (what to inject,

@@ -1,6 +1,7 @@
 package caasper
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -162,6 +163,86 @@ func TestPublicRunLive(t *testing.T) {
 	// Database presets carry the paper's replica counts.
 	if DatabaseA(2, 8).Replicas != 3 || DatabaseB(2, 8).Replicas != 2 {
 		t.Error("preset replica counts wrong")
+	}
+}
+
+// TestVectorOnlyBounds: options whose CPU bounds are set only through
+// Resources run, and equal the preset runs with the same bounds.
+func TestVectorOnlyBounds(t *testing.T) {
+	cpu := ResourceRange{
+		Initial: Resources{CPUCores: 4},
+		Limits:  ResourceLimits{Min: Resources{CPUCores: 2}, Max: Resources{CPUCores: 8}},
+	}
+	newRec := func() Recommender {
+		rec, err := NewReactive(DefaultConfig(8), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	tr := Workloads["workday12h"](5)
+
+	preset := DefaultSimOptions(4, 8)
+	vec := SimOptions{
+		Resources:            cpu,
+		DecisionEveryMinutes: preset.DecisionEveryMinutes,
+		ResizeDelayMinutes:   preset.ResizeDelayMinutes,
+		BillingPeriod:        preset.BillingPeriod,
+		PricePerCorePeriod:   preset.PricePerCorePeriod,
+	}
+	want, err := Simulate(tr, newRec(), preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(tr, newRec(), vec)
+	if err != nil {
+		t.Fatalf("Simulate with vector-only bounds: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("Simulate diverged:\n%v\nvs\n%v", want, got)
+	}
+
+	preset.Resources.Max.RAMGB, vec.Resources.Max.RAMGB = 16, 16
+	wantV, err := SimulateVector(tr, newRec(), preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotV, err := SimulateVector(tr, newRec(), vec)
+	if err != nil {
+		t.Fatalf("SimulateVector with vector-only bounds: %v", err)
+	}
+	if !reflect.DeepEqual(wantV, gotV) {
+		t.Errorf("SimulateVector diverged:\n%v\nvs\n%v", wantV, gotV)
+	}
+
+	short, err := tr.Resample(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := ScheduleForCores("vector-live", MixedOLTP(), TracePattern(short), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := DatabaseA(4, 8)
+	vecLive := LiveOptions{
+		Resources:            cpu,
+		Replicas:             live.Replicas,
+		MemGiBPerPod:         live.MemGiBPerPod,
+		RestartSecondsPerPod: live.RestartSecondsPerPod,
+		DecisionEverySeconds: live.DecisionEverySeconds,
+		BillingPeriod:        live.BillingPeriod,
+		DB:                   live.DB,
+	}
+	wantL, err := RunLive(sched, newRec(), live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotL, err := RunLive(sched, newRec(), vecLive)
+	if err != nil {
+		t.Fatalf("RunLive with vector-only bounds: %v", err)
+	}
+	if !reflect.DeepEqual(wantL, gotL) {
+		t.Errorf("RunLive diverged:\n%+v\nvs\n%+v", wantL.DB, gotL.DB)
 	}
 }
 

@@ -60,8 +60,7 @@ func main() {
 		ResizeDelayMinutes:   10,
 		BillingPeriod:        time.Hour,
 		Workers:              *workers,
-		Events:               session.Events,
-		Metrics:              session.Metrics,
+		RunHooks:             caasper.RunHooks{Events: session.Events, Metrics: session.Metrics},
 	})
 	if err != nil {
 		fatal(err)

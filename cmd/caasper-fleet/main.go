@@ -65,7 +65,7 @@ func main() {
 		faultSpecStr = flag.String("faults", "", `fault-injection spec, e.g. "restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4" (times in minutes; empty: fault-free)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
 		engine       = flag.String("engine", "stepped", "tick engine: stepped (minute-by-minute reference) or events (discrete-event wake queue; byte-identical output)")
-		sharding     = flag.String("sharding", "auto", "events-engine shard parallelism: auto (run node-disjoint tenant groups concurrently) or off (single-shard reference loop; byte-identical output)")
+		sharding     = flag.String("sharding", "auto", "events-engine shard grouping: auto (run node-disjoint tenant groups concurrently) or off (all tenants in one group; byte-identical output)")
 		resourceSpec = flag.String("resources", "", `resource-vector spec applied to every tenant, e.g. "ram=4-16,disk=5-40" or "ram=4-32,replicas=1-4" (a replicas range marks the tenants stateless for horizontal overflow; requires the stepped engine)`)
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
@@ -139,18 +139,18 @@ func main() {
 			maxC = int(tr.Summarize().Max*1.5) + 2
 		}
 		rname := rnames[i%len(rnames)]
+		// -initial/-min/-max set the CPU bounds; -resources adds the rest.
+		trr := rr
+		trr.Initial.CPUCores, trr.Min.CPUCores, trr.Max.CPUCores = *initial, *minCores, maxC
 		tenants = append(tenants, caasper.TenantSpec{
 			Name:  fmt.Sprintf("t%02d", i),
 			Trace: tr,
 			NewRecommender: func() (caasper.Recommender, error) {
 				return caasper.NewRecommenderByName(rname, caasper.RecommenderSettings{MaxCores: maxC})
 			},
-			InitialCores: *initial,
-			MinCores:     *minCores,
-			MaxCores:     maxC,
 			Replicas:     *replicas,
 			MemGiBPerPod: *memGiB,
-			Resources:    rr,
+			Resources:    trr,
 			Stateless:    rr.Max.Replicas > 0,
 		})
 	}

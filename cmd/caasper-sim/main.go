@@ -58,7 +58,7 @@ func main() {
 		decisionInt  = flag.Int("decision-interval", 10, "minutes between decisions")
 		resizeDelay  = flag.Int("resize-delay", 10, "minutes for a resize to take effect")
 		seed         = flag.Uint64("seed", 1, "workload seed")
-		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "cpu=2-12,ram=4-32,disk=20-100" (CPU bounds default to -initial/-max when no cpu= entry is given)`)
+		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "ram=4-32,disk=20-100" (CPU bounds come from -initial/-max)`)
 		faultSpec    = flag.String("faults", "", `fault-injection spec, e.g. "restart-fail:p=0.2,metrics-gap:p=0.05" (times in minutes; empty: fault-free)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
 		workers      = flag.Int("workers", 0, "worker goroutines for multi-recommender runs (default: GOMAXPROCS)")
@@ -105,16 +105,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts.Faults = spec
+	opts.FaultSpec = spec
 	opts.FaultSeed = *faultSeed
 	if *resourceSpec != "" {
 		rr, err := caasper.ParseResourceSpec(*resourceSpec)
 		if err != nil {
 			fatal(err)
 		}
+		// -initial/-max set the CPU bounds; -resources adds the rest.
+		cpu := opts.Resources
+		rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores = cpu.Initial.CPUCores, cpu.Min.CPUCores, cpu.Max.CPUCores
 		opts.Resources = rr
 	}
-	vector := opts.Range().Multi()
+	vector := opts.Resources.Multi()
 
 	recNames := splitList(*recName)
 	if len(recNames) == 0 {

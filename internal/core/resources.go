@@ -99,35 +99,27 @@ func clampDim(v, lo, hi int) int {
 
 // ResourceRange is the shared "initial + bounds" spelling used by every
 // options struct (SimOptions, HarnessOptions, fleet TenantSpec, serve
-// tenant config). It replaces the three near-duplicate sets of
-// InitialCores/MinCores/MaxCores fields; the old scalar fields remain as
-// deprecated aliases and win when non-zero, exactly like the RunHooks
-// Merge precedent.
+// tenant config).
 type ResourceRange struct {
 	Initial Resources
 	Limits
 }
 
-// MergeCPU overlays the deprecated scalar CPU fields onto the range:
-// a non-zero scalar wins over the corresponding vector entry, so seed
-// callers that only ever set InitialCores/MinCores/MaxCores keep their
-// exact behaviour. Missing Initial entries for managed dimensions
-// default to that dimension's Min.
-func (rr ResourceRange) MergeCPU(initial, min, max int) ResourceRange {
-	// The Initial→Min fallback applies only to vector-spelled CPU bounds:
-	// a zero scalar InitialCores stays zero (and fails validation), the
-	// seed's exact behaviour.
-	vectorCPU := rr.Initial.CPUCores > 0 || rr.Min.CPUCores > 0 || rr.Max.CPUCores > 0
-	if initial != 0 {
-		rr.Initial.CPUCores = initial
+// CPURange spells CPU-only bounds: the initial allocation and the
+// [min, max] clamp in whole cores.
+func CPURange(initial, min, max int) ResourceRange {
+	return ResourceRange{
+		Initial: Resources{CPUCores: initial},
+		Limits:  Limits{Min: Resources{CPUCores: min}, Max: Resources{CPUCores: max}},
 	}
-	if min != 0 {
-		rr.Min.CPUCores = min
-	}
-	if max != 0 {
-		rr.Max.CPUCores = max
-	}
-	if vectorCPU && rr.Initial.CPUCores == 0 {
+}
+
+// Resolve fills the defaults a harness applies once, before it reads the
+// range: a zero Initial entry starts at its dimension's Min (disk with no
+// Min starts at its Max), and managed RAM and replica dimensions floor
+// their Min at 1. An all-zero CPU range stays zero and fails validation.
+func (rr ResourceRange) Resolve() ResourceRange {
+	if rr.Initial.CPUCores == 0 {
 		rr.Initial.CPUCores = rr.Min.CPUCores
 	}
 	if rr.Max.RAMGB > 0 {

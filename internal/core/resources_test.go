@@ -37,22 +37,27 @@ func TestLimitsMulti(t *testing.T) {
 	}
 }
 
-func TestMergeCPUDeprecatedScalarsWin(t *testing.T) {
+func TestResourceRangeResolve(t *testing.T) {
 	rr := ResourceRange{
-		Initial: Resources{CPUCores: 1},
+		Initial: Resources{CPUCores: 3},
 		Limits:  Limits{Min: Resources{CPUCores: 1}, Max: Resources{CPUCores: 4, RAMGB: 16}},
 	}
-	got := rr.MergeCPU(2, 2, 8)
-	if got.Initial.CPUCores != 2 || got.Min.CPUCores != 2 || got.Max.CPUCores != 8 {
-		t.Fatalf("scalar CPU fields must win: %+v", got)
+	got := rr.Resolve()
+	if got.Initial.CPUCores != 3 || got.Min.CPUCores != 1 || got.Max.CPUCores != 4 {
+		t.Fatalf("set CPU entries must pass through: %+v", got)
 	}
 	if got.Min.RAMGB != 1 || got.Initial.RAMGB != 1 {
 		t.Fatalf("managed RAM should default min/initial to 1: %+v", got)
 	}
-	// No scalars set: vector passes through.
-	got = rr.MergeCPU(0, 0, 0)
-	if got.Initial.CPUCores != 1 || got.Max.CPUCores != 4 {
-		t.Fatalf("vector must pass through when scalars unset: %+v", got)
+	// A zero Initial starts at Min.
+	rr.Initial.CPUCores = 0
+	rr.Min.CPUCores = 2
+	if got = rr.Resolve(); got.Initial.CPUCores != 2 {
+		t.Fatalf("zero initial CPU should default to Min: %+v", got)
+	}
+	// An all-zero CPU range stays zero (callers reject it).
+	if got = (ResourceRange{}).Resolve(); got != (ResourceRange{}) {
+		t.Fatalf("empty range must stay empty: %+v", got)
 	}
 }
 

@@ -38,10 +38,7 @@
 package fleet
 
 import (
-	"context"
-
 	"caasper/internal/faults"
-	"caasper/internal/parallel"
 	"caasper/internal/recommend"
 	"caasper/internal/trace"
 )
@@ -116,8 +113,7 @@ func (s *runState) nextDecisionAt(m int) int {
 	return nd
 }
 
-// prepEvents initializes the per-tenant event-engine state shared by the
-// single-shard and sharded loops.
+// prepEvents initializes the per-tenant event-engine state.
 func (s *runState) prepEvents() {
 	// Trace run starts are shared: fleets commonly replay a few workload
 	// shapes across many tenants, so the inflection scan runs once per
@@ -161,128 +157,30 @@ func uniformWake(ts []*tenant, awake []int) int {
 	return w
 }
 
-// runEvents is the discrete-event engine dispatcher: it preps the
-// per-tenant event state, then — unless Options.Sharding is off — splits
-// the fleet into node-disjoint shard groups and runs them concurrently
-// (shard.go). Fleets that form a single contention group (and one-tenant
-// fleets) fall through to the single-shard reference loop.
+// runEvents is the discrete-event engine: it preps the per-tenant event
+// state, splits the fleet into node-disjoint shard groups (one group
+// holding every tenant under ShardingOff) and runs them through the
+// shard loop (shard.go).
 func (s *runState) runEvents() error {
 	s.prepEvents()
 	if s.shard != ShardingOff {
-		if idxs, offsets := shardPartition(s.ts); len(offsets) > 2 {
-			return s.runEventsSharded(idxs, offsets)
-		}
+		return s.runShards(shardPartition(s.ts))
 	}
-	return s.runEventsSingle()
+	idxs := make([]int32, len(s.ts))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return s.runShards(idxs, []int32{0, int32(len(idxs))})
 }
 
-// runEventsSingle is the single-shard discrete-event loop. See the file
-// comment for the design and the equivalence argument.
-func (s *runState) runEventsSingle() error {
-	ts := s.ts
-	ctx := context.Background()
-
-	var heap wakeHeap
-	if d0 := s.nextDecisionAt(0); d0 >= 0 {
-		// Every tenant's first wake is the first decision tick. Equal keys
-		// in index order are already a valid min-heap. Each tenant holds at
-		// most one pending wake, so the heap never outgrows this backing.
-		heap = make(wakeHeap, len(ts))
-		for i := range ts {
-			heap[i] = wakeEntry{at: int32(d0), idx: int32(i)}
-		}
-	}
-
-	// clock tracks fleet-level pressure coverage: windows overlapping
-	// [0, clock) have been polled, in order, exactly once.
-	clock := 0
-	pressure := 0.0
-	awake := make([]int, 0, len(ts))
-
-	for len(heap) > 0 {
-		d := int(heap[0].at)
-		awake = awake[:0]
-		for len(heap) > 0 && int(heap[0].at) == d {
-			awake = append(awake, int(heap.pop().idx))
-		}
-
-		for {
-			// Catch the fleet-level scheduling pressure up through the
-			// decision minute — one draw per window, same stream as the
-			// stepped engine's per-minute polling. Pressure edges for minutes
-			// ≤ d are emitted before this tick's phase-2 events, exactly as
-			// the stepped segment prologue interleaves them.
-			if s.finj != nil {
-				pressure = s.finj.AdvancePressure(int64(clock), int64(d+1))
-				s.cluster.SetPressure(pressure)
-			}
-			clock = d + 1
-
-			// Severity is defined as the insufficiency since the previous
-			// decision tick — even for tenants that slept through it — so
-			// catch-up accumulates it only from sevFrom on.
-			sevFrom := d - s.d + 1
-			if d == s.warmup {
-				sevFrom = 0 // first decision: severity covers the warm-up
-			}
-
-			// Phase 1 — parallel catch-up + decide over the awake tenants
-			// only. Each task touches one tenant's state; sleeping tenants are
-			// untouched and, by the sleep contract, unchanged.
-			err := parallel.ForEach(ctx, len(awake), s.workers, func(k int) error {
-				t := ts[awake[k]]
-				t.advanceTo(d+1, sevFrom)
-				limit := t.lim
-				t.hasProp = false
-				t.decide(limit)
-				t.computeWake(s, d, limit)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-
-			// Phase 2 — sequential, over the awake subset (ascending index,
-			// courtesy of the heap's secondary key). Tenants asleep at d hold
-			// no proposal, so the stepped engine's full walk degenerates to
-			// exactly this subset.
-			s.enactTick(awake, pressure, d)
-
-			for _, i := range awake {
-				t := ts[i]
-				if t.hasProp {
-					// Only proposers can have been resized by enactPhase
-					// (granted, deferred or fault-aborted — re-read either way).
-					t.lim = t.set.CPULimit()
-				}
-			}
-
-			if len(heap) == 0 {
-				if w := uniformWake(ts, awake); w >= 0 {
-					d = w // lockstep fleet: rerun the tick loop on the same list
-					continue
-				}
-			}
-			for _, i := range awake {
-				if w := ts[i].wakeAt; w >= 0 {
-					heap.push(wakeEntry{at: int32(w), idx: int32(i)})
-				}
-			}
-			break
-		}
-	}
-
-	// Horizon epilogue: finish the pressure coverage and account every
-	// tenant's tail minutes after its last wake. Severity after the final
-	// decision is never read, so catch-up skips it (sevFrom = minutes).
-	if s.finj != nil && clock < s.minutes {
-		pressure = s.finj.AdvancePressure(int64(clock), int64(s.minutes))
-		s.cluster.SetPressure(pressure)
-	}
-	return parallel.ForEach(ctx, len(ts), s.workers, func(i int) error {
-		ts[i].advanceTo(s.minutes, s.minutes)
-		return nil
-	})
+// wake runs one awake tenant's phase 1 at decision tick d: catch up to
+// the tick, decide, and schedule the next wake-up.
+func (t *tenant) wake(s *runState, d, sevFrom int) {
+	t.advanceTo(d+1, sevFrom)
+	limit := t.lim
+	t.hasProp = false
+	t.decide(limit)
+	t.computeWake(s, d, limit)
 }
 
 // advanceTo replays the tenant's minutes [done, end) analytically, run by

@@ -34,44 +34,6 @@ func runEngine(t *testing.T, specs []TenantSpec, opts Options, engine string, wo
 	return res, encodeStream(mem)
 }
 
-// TestEventEngineEquivalenceChaos16 is the tentpole contract on the same
-// configuration scripts/fleet.sh pins as the chaos golden: a 16-tenant
-// heterogeneous fleet on the small cluster with restart-fail, metrics-gap
-// and sched-pressure faults all active. The event engine must reproduce
-// the stepped engine bit for bit — results and NDJSON stream — at every
-// worker count.
-func TestEventEngineEquivalenceChaos16(t *testing.T) {
-	spec, err := faults.ParseSpec("restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Cluster = nil // reset per run below
-	opts.Minutes = 240
-	opts.FaultSpec = spec
-	opts.FaultSeed = 7
-
-	base, baseStream := runEngine(t, mixedFleet(t, 16), withSmallCluster(opts), EngineStepped, 1)
-	if base.TotalScalings == 0 {
-		t.Fatal("chaos fleet produced no scalings; traces too tame to prove anything")
-	}
-	for _, engine := range []string{EngineStepped, EngineEvents} {
-		for _, w := range []int{1, 4, 8} {
-			if engine == EngineStepped && w == 1 {
-				continue
-			}
-			res, stream := runEngine(t, mixedFleet(t, 16), withSmallCluster(opts), engine, w)
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("engine=%s workers=%d: result diverged:\n%s\nvs\n%s",
-					engine, w, base.Summary(), res.Summary())
-			}
-			if stream != baseStream {
-				t.Errorf("engine=%s workers=%d: event stream diverged", engine, w)
-			}
-		}
-	}
-}
-
 // withSmallCluster returns opts with a fresh small cluster (cluster state
 // is mutated by a run, so each run needs its own).
 func withSmallCluster(opts Options) Options {
@@ -79,35 +41,214 @@ func withSmallCluster(opts Options) Options {
 	return opts
 }
 
-// TestEventEngineEquivalenceRandomized64 fuzzes the equivalence over a
-// 64-tenant fleet with a fixed seed: piecewise-constant and noisy traces,
-// every recommender family (bulk-capable, steady-capable, per-minute-only,
-// and one that implements neither optional interface), 1–2 replicas, and
-// chaos faults. Any divergence between the engines' analytic and stepped
-// arithmetic shows up as a result or stream mismatch.
-func TestEventEngineEquivalenceRandomized64(t *testing.T) {
-	base, baseStream := runEngine(t, randomized64Specs(t), randomized64Opts(t), EngineStepped, 1)
-	for _, engine := range []string{EngineStepped, EngineEvents} {
-		for _, w := range []int{1, 4, 8} {
-			if engine == EngineStepped && w == 1 {
-				continue
-			}
-			res, stream := runEngine(t, randomized64Specs(t), randomized64Opts(t), engine, w)
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("engine=%s workers=%d: result diverged:\n%s\nvs\n%s",
-					engine, w, base.Summary(), res.Summary())
-			}
-			if stream != baseStream {
-				t.Errorf("engine=%s workers=%d: event stream diverged", engine, w)
-			}
+// equivalenceRun is one row of an equivalence table: an engine, an
+// events sharding mode and a worker count a fleet must reproduce the
+// one-worker stepped run under, bit for bit.
+type equivalenceRun struct {
+	engine, sharding string
+	workers          int
+}
+
+// engineRuns is the engine-equivalence table: the stepped engine at other
+// worker counts and the single-shard event loop.
+var engineRuns = []equivalenceRun{
+	{EngineStepped, "", 4},
+	{EngineStepped, "", 8},
+	{EngineEvents, ShardingOff, 1},
+	{EngineEvents, ShardingOff, 4},
+	{EngineEvents, ShardingOff, 8},
+}
+
+// shardedRuns is the sharding-equivalence table: the auto-sharded event
+// engine at every worker count.
+var shardedRuns = []equivalenceRun{
+	{EngineEvents, ShardingAuto, 1},
+	{EngineEvents, ShardingAuto, 4},
+	{EngineEvents, ShardingAuto, 8},
+}
+
+// allRuns is engineRuns and shardedRuns together.
+var allRuns = append(append([]equivalenceRun{}, engineRuns...), shardedRuns...)
+
+// checkEquivalence runs a fleet through every row of runs and requires a
+// bit-equal Result and a byte-identical NDJSON stream against the
+// one-worker stepped run, which it returns; the events engine must also
+// match it with telemetry off under every sharding mode runs uses. specs
+// and opts build a fresh fleet and cluster per run, because a run mutates
+// both.
+func checkEquivalence(t *testing.T, runs []equivalenceRun, specs func() []TenantSpec, opts func() Options) *Result {
+	t.Helper()
+	base, baseStream := runEngine(t, specs(), opts(), EngineStepped, 1)
+	var shardings []string
+	for _, r := range runs {
+		o := opts()
+		o.Sharding = r.sharding
+		res, stream := runEngine(t, specs(), o, r.engine, r.workers)
+		if !reflect.DeepEqual(base, res) {
+			t.Errorf("engine=%s sharding=%q workers=%d: result diverged:\n%s\nvs\n%s",
+				r.engine, r.sharding, r.workers, base.Summary(), res.Summary())
+		}
+		if stream != baseStream {
+			t.Errorf("engine=%s sharding=%q workers=%d: event stream diverged", r.engine, r.sharding, r.workers)
+		}
+		if r.engine == EngineEvents && (len(shardings) == 0 || shardings[len(shardings)-1] != r.sharding) {
+			shardings = append(shardings, r.sharding)
 		}
 	}
+	// With telemetry off the shard merge tallies counters instead of
+	// replaying events; the Result must not notice.
+	for _, sharding := range shardings {
+		o := opts()
+		o.Engine, o.Sharding, o.Workers = EngineEvents, sharding, 4
+		res, err := Run(specs(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(base, res) {
+			t.Errorf("events off, sharding=%q: result diverged:\n%s\nvs\n%s", sharding, base.Summary(), res.Summary())
+		}
+	}
+	return base
+}
+
+// chaosOpts is the fault spec scripts/fleet.sh pins as the chaos golden
+// (restart-fail, metrics-gap and sched-pressure all active), on a fresh
+// copy of cluster.
+func chaosOpts(t *testing.T, minutes int, cluster func() *k8s.Cluster) func() Options {
+	spec, err := faults.ParseSpec("restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() Options {
+		opts := DefaultOptions()
+		opts.Cluster = cluster()
+		opts.Minutes = minutes
+		opts.FaultSpec = spec
+		opts.FaultSeed = 7
+		return opts
+	}
+}
+
+// TestEventEngineEquivalenceChaos16 runs the scripts/fleet.sh chaos
+// configuration — a 16-tenant heterogeneous fleet on the small cluster —
+// through the engine-equivalence table.
+func TestEventEngineEquivalenceChaos16(t *testing.T) {
+	specs := func() []TenantSpec { return mixedFleet(t, 16) }
+	base := checkEquivalence(t, engineRuns, specs, chaosOpts(t, 240, k8s.SmallCluster))
+	if base.TotalScalings == 0 {
+		t.Fatal("chaos fleet produced no scalings; traces too tame to prove anything")
+	}
+}
+
+// TestShardedEquivalenceChaos16 runs the same chaos configuration through
+// the sharding-equivalence table: the auto-sharded event engine must
+// reproduce the stepped reference at every worker count.
+func TestShardedEquivalenceChaos16(t *testing.T) {
+	specs := func() []TenantSpec { return mixedFleet(t, 16) }
+	checkEquivalence(t, shardedRuns, specs, chaosOpts(t, 240, k8s.SmallCluster))
+}
+
+// TestEventEngineEquivalenceRandomized64 fuzzes the engine equivalence
+// over a 64-tenant fleet with a fixed seed: piecewise-constant and noisy
+// traces, every recommender family (bulk-capable, steady-capable,
+// per-minute-only, and one that implements neither optional interface),
+// 1–2 replicas, and chaos faults. Any divergence between the engines'
+// analytic and stepped arithmetic shows up as a result or stream mismatch.
+func TestEventEngineEquivalenceRandomized64(t *testing.T) {
+	checkEquivalence(t, engineRuns, func() []TenantSpec { return randomized64Specs(t) }, func() Options { return randomized64Opts(t) })
+}
+
+// TestShardedEquivalenceRandomized64 runs the same fuzz fleet, whose
+// sixteen wide nodes split it into many shard groups, through the
+// sharding-equivalence table; a fault in the cross-shard merge shows up
+// as a result or stream mismatch.
+func TestShardedEquivalenceRandomized64(t *testing.T) {
+	checkEquivalence(t, shardedRuns, func() []TenantSpec { return randomized64Specs(t) }, func() Options { return randomized64Opts(t) })
+}
+
+// TestEventEngineEquivalenceOneGroup runs the equivalence table on fleets
+// whose placement forms a single shard group, where the events engine
+// fans phase 1 out over the workers inside the one group.
+func TestEventEngineEquivalenceOneGroup(t *testing.T) {
+	cases := []struct {
+		name    string
+		specs   func() []TenantSpec
+		cluster func() *k8s.Cluster
+	}{
+		{
+			// Twelve tenants contend for one node with half again their
+			// initial cores.
+			name:  "one node",
+			specs: func() []TenantSpec { return mixedFleet(t, 12) },
+			cluster: func() *k8s.Cluster {
+				return mustCluster(t, k8s.NewNode("solo", 36, 512))
+			},
+		},
+		{
+			// Three-replica sets spread over four nodes: the second set's
+			// replicas already share nodes with the first, welding every
+			// node into one group.
+			name: "welded replicas",
+			specs: func() []TenantSpec {
+				specs := mixedFleet(t, 6)
+				for i := range specs {
+					specs[i].Replicas = 3
+				}
+				return specs
+			},
+			cluster: func() *k8s.Cluster {
+				nodes := make([]*k8s.Node, 4)
+				for i := range nodes {
+					nodes[i] = k8s.NewNode(fmt.Sprintf("node-%d", i), 14, 64)
+				}
+				return mustCluster(t, nodes...)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := groupCount(t, tc.specs(), tc.cluster()); n != 1 {
+				t.Fatalf("fleet forms %d shard groups, want 1", n)
+			}
+			base := checkEquivalence(t, allRuns, tc.specs, chaosOpts(t, 240, tc.cluster))
+			if base.TotalDeferrals == 0 {
+				t.Fatal("one-group fleet never deferred a scale-up; no contention to prove anything")
+			}
+		})
+	}
+}
+
+// mustCluster builds a cluster from nodes.
+func mustCluster(t *testing.T, nodes ...*k8s.Node) *k8s.Cluster {
+	t.Helper()
+	c, err := k8s.NewCluster(nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// groupCount onboards specs onto cluster in input order, as Run does, and
+// returns the number of shard groups the placement forms.
+func groupCount(t *testing.T, specs []TenantSpec, cluster *k8s.Cluster) int {
+	t.Helper()
+	ts := make([]*tenant, len(specs))
+	for i, spec := range specs {
+		rr := spec.Resources.Resolve()
+		set, err := k8s.NewStatefulSet(spec.Name, spec.Replicas, rr.Initial.CPUCores, spec.MemGiBPerPod, cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts[i] = &tenant{set: set}
+	}
+	_, offsets := shardPartition(ts)
+	return len(offsets) - 1
 }
 
 const randomized64Minutes = 420
 
-// randomized64Specs builds the 64-tenant fuzz fleet the engine- and
-// sharding-equivalence tests share: piecewise-constant and noisy traces,
+// randomized64Specs builds the 64-tenant fuzz fleet: piecewise-constant
+// and noisy traces,
 // every recommender family, 1–2 replicas. Deterministic (fixed seed), so
 // repeated calls build identical fleets.
 func randomized64Specs(t *testing.T) []TenantSpec {
@@ -172,9 +313,7 @@ func randomized64Specs(t *testing.T) []TenantSpec {
 			Name:           fmt.Sprintf("t%02d", i),
 			Trace:          tr,
 			NewRecommender: factory,
-			InitialCores:   1 + rng.Intn(3),
-			MinCores:       1,
-			MaxCores:       maxC,
+			Resources:      core.CPURange(1+rng.Intn(3), 1, maxC),
 			Replicas:       1 + rng.Intn(2),
 			MemGiBPerPod:   1,
 		})
@@ -245,9 +384,7 @@ func TestEventEngineSleepsSteadyTenants(t *testing.T) {
 				}
 				return &countingRec{CaaSPERReactive: r, calls: calls}, nil
 			},
-			InitialCores: 4,
-			MinCores:     4, // clamp forces "hold" on the low plateau
-			MaxCores:     8,
+			Resources:    core.CPURange(4, 4, 8), // clamp forces "hold" on the low plateau
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}}

@@ -59,16 +59,6 @@ type TenantSpec struct {
 	// rather than an instance because recommenders are stateful and the
 	// fleet runs tenants concurrently.
 	NewRecommender func() (recommend.Recommender, error)
-	// InitialCores is the starting whole-core limit per pod.
-	//
-	// Deprecated: set Resources.Initial.CPUCores. A non-zero value here
-	// wins, so seed callers behave identically.
-	InitialCores int
-	// MinCores / MaxCores are the tenant's safety clamps.
-	//
-	// Deprecated: set Resources.Min/Max.CPUCores. Non-zero values here
-	// win, so seed callers behave identically.
-	MinCores, MaxCores int
 	// Replicas is the stateful-set size (default 1).
 	Replicas int
 	// MemGiBPerPod sizes pod memory (scheduling only; not billed).
@@ -76,14 +66,15 @@ type TenantSpec struct {
 	// sizes the pods.
 	MemGiBPerPod float64
 
-	// Resources is the canonical resource-vector spelling of the
-	// tenant's bounds. Managing any non-CPU dimension (a non-zero
-	// Max.RAMGB, Max.DiskGB or Max.Replicas) upgrades the tenant from
-	// the CPU-only decision loop to the multi-resource loop: RAM scales
-	// by the dual-threshold MemoryPolicy, disk grows off its high-water
-	// mark, and — for Stateless tenants — replicas overflow horizontally
-	// once the vertical CPU ceiling pins. CPU-only tenants (zero value
-	// here) run the exact pre-vector code paths.
+	// Resources holds the tenant's bounds: Initial.CPUCores is the
+	// starting whole-core limit per pod (default Min), Min/Max.CPUCores
+	// the tenant's safety clamps. Managing any non-CPU dimension (a
+	// non-zero Max.RAMGB, Max.DiskGB or Max.Replicas) upgrades the tenant
+	// from the CPU-only decision loop to the multi-resource loop: RAM
+	// scales by the dual-threshold MemoryPolicy, disk grows off its
+	// high-water mark, and — for Stateless tenants — replicas overflow
+	// horizontally once the vertical CPU ceiling pins. CPU-only tenants
+	// run the exact pre-vector code paths.
 	Resources core.ResourceRange
 	// RAMTrace is the per-minute per-pod RAM demand series in GB; nil
 	// derives one deterministically from Trace (workload.DeriveRAM).
@@ -102,13 +93,6 @@ type TenantSpec struct {
 	Mem recommend.MemoryPolicy
 	// Disk tunes the disk policy (zero value: defaults).
 	Disk recommend.DiskPolicy
-}
-
-// Range resolves the tenant's effective resource bounds: the deprecated
-// scalar CPU fields overlay the vector (non-zero wins), mirroring the
-// RunHooks merge precedent.
-func (s TenantSpec) Range() core.ResourceRange {
-	return s.Resources.MergeCPU(s.InitialCores, s.MinCores, s.MaxCores)
 }
 
 // Options configures a fleet run. The telemetry/fault knobs come from the
@@ -142,13 +126,13 @@ type Options struct {
 	// selected by "") or EngineEvents. Both produce byte-identical results
 	// and event streams; see the engine constants for when each wins.
 	Engine string
-	// Sharding controls the event engine's shard-parallel mode:
-	// ShardingAuto (the default, also selected by "") partitions the
-	// fleet into node-disjoint shard groups and runs them concurrently;
-	// ShardingOff forces the single-shard reference loop. Results and
-	// event streams are byte-identical either way — the knob exists for
-	// A/B verification and debugging, not correctness. Ignored by the
-	// stepped engine.
+	// Sharding controls the event engine's shard grouping: ShardingAuto
+	// (the default, also selected by "") partitions the fleet into
+	// node-disjoint shard groups and runs them concurrently; ShardingOff
+	// puts every tenant in one group. Both run the same event loop, and
+	// results and event streams are byte-identical either way — the knob
+	// exists as a partition-independence check, not for correctness.
+	// Ignored by the stepped engine.
 	Sharding string
 }
 
@@ -178,11 +162,11 @@ const (
 	// node-connected components run as independent shards, each with its
 	// own wake heap, virtual clock and fault-draw stream, fanned out on
 	// internal/parallel. A fleet whose tenants all contend on one node
-	// collapses to a single shard — exactly the ShardingOff loop.
+	// collapses to a single group, exactly as under ShardingOff.
 	ShardingAuto = "auto"
-	// ShardingOff forces the single-shard event loop (one global wake
-	// heap, sequential ticks) — the reference the sharded mode is tested
-	// byte-identical against.
+	// ShardingOff runs every tenant as one group of the same event loop,
+	// with each tick's awake tenants fanned out over Workers — the
+	// one-group side of the partition-independence check.
 	ShardingOff = "off"
 )
 
@@ -281,8 +265,8 @@ type Result struct {
 	PressureWindows int64
 	// TotalOOMMinutes / TotalRAMShortGBMin / TotalRAMCost / TotalDiskCost
 	// aggregate the multi-resource tenants (zero for CPU-only fleets).
-	TotalOOMMinutes  int
-	TotalRAMShortGBMin float64
+	TotalOOMMinutes             int
+	TotalRAMShortGBMin          float64
 	TotalRAMCost, TotalDiskCost float64
 }
 
@@ -398,11 +382,11 @@ type tenant struct {
 // into the proposal and reset either way.
 func (t *tenant) decide(limit int) {
 	target := t.rec.Recommend(limit)
-	if target < t.spec.MinCores {
-		target = t.spec.MinCores
+	if target < t.spec.Resources.Min.CPUCores {
+		target = t.spec.Resources.Min.CPUCores
 	}
-	if target > t.spec.MaxCores {
-		target = t.spec.MaxCores
+	if target > t.spec.Resources.Max.CPUCores {
+		target = t.spec.Resources.Max.CPUCores
 	}
 	if target != limit {
 		t.prop = proposal{target: target, severity: t.severity}
@@ -432,10 +416,11 @@ type runState struct {
 	ups []int
 	arb *arbScratch
 
-	// ssink, when non-nil, marks this runState as one shard of a
-	// shard-parallel run (see shard.go): h.Events points at the same
-	// buffer, and enactPhase tags each buffered event with its merge key
-	// so the post-run merge can reproduce the single-shard byte order.
+	// ssink, when non-nil, marks this runState as one shard of an
+	// event-engine run with events enabled (see shard.go): h.Events points
+	// at the same buffer, and enactPhase tags each buffered event with its
+	// merge key so the post-run merge can reproduce the stepped engine's
+	// byte order.
 	ssink *shardSink
 }
 
@@ -493,7 +478,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		if spec.NewRecommender == nil {
 			return nil, fmt.Errorf("fleet: tenant %q has no recommender factory: %w", spec.Name, errs.ErrInvalidConfig)
 		}
-		rr := spec.Range()
+		rr := spec.Resources.Resolve()
 		if rr.Initial.CPUCores < 1 || rr.Min.CPUCores < 1 || rr.Max.CPUCores < rr.Min.CPUCores {
 			return nil, fmt.Errorf("fleet: tenant %q: bad core bounds: %w", spec.Name, errs.ErrInvalidConfig)
 		}
@@ -529,7 +514,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	tstore := make([]tenant, len(tenants))
 	ts := make([]*tenant, len(tenants))
 	for i, spec := range tenants {
-		rr := spec.Range()
+		rr := spec.Resources.Resolve()
 		replicas := spec.Replicas
 		if rr.Multi() && rr.Initial.Replicas > 0 {
 			replicas = rr.Initial.Replicas
@@ -551,9 +536,8 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		}
 		t := &tstore[i]
 		t.spec, t.rec, t.set, t.meter, t.pod = spec, rec, set, *meterProto, set.Pods[0].Name
-		// Normalize the deprecated scalar CPU fields on the tenant's copy
-		// so the decide clamp reads one resolved set of bounds.
-		t.spec.InitialCores, t.spec.MinCores, t.spec.MaxCores = rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores
+		// The decide clamp reads the resolved bounds off the tenant's copy.
+		t.spec.Resources = rr
 		if rr.Multi() {
 			if err := t.initMulti(rr, replicas, minutes, opts); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
@@ -793,10 +777,10 @@ func (s *runState) runStepped() error {
 
 // enactTick runs phase 2 at one decision tick and closes its books: the
 // arbitration-tick counter and the per-tick "fleet.arbitration" summary
-// event, emitted when at least one tenant was deferred. Both engines'
-// non-sharded loops call this; the shard loops call enactPhase directly
-// and re-derive the tick bookkeeping in the merge (shard.go), where the
-// global contender/grant/deferral totals are known.
+// event, emitted when at least one tenant was deferred. The stepped
+// engine calls this; the event engine's shard loops call enactPhase
+// directly and re-derive the tick bookkeeping in the merge (shard.go),
+// where the global contender/grant/deferral totals are known.
 func (s *runState) enactTick(cands []int, pressure float64, now int) {
 	contenders, granted, deferred := s.enactPhase(cands, pressure, now)
 	if deferred > 0 {
@@ -869,7 +853,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			if s.ssink != nil {
 				s.ssink.key = evKey{stage: 1, idx: int32(i), sev: t.prop.severity}
 			}
-			if node, short := s.checkFeasible(t, pressure); node != "" {
+			if node, short := s.checkFeasible(t, pressure); node != nil {
 				t.res.Deferrals++
 				deferred++
 				if s.events {
@@ -878,7 +862,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 						obs.I("from", int64(t.set.CPULimit())),
 						obs.I("want", int64(t.prop.target)),
 						obs.F("severity", t.prop.severity),
-						obs.S("node", node),
+						obs.S("node", node.Name),
 						obs.F("short_cores", short),
 					}})
 				}
@@ -904,11 +888,11 @@ func (s *runState) enactProposal(t *tenant, now int) {
 // checkFeasible routes the arbiter's capacity check: CPU-only proposals
 // keep the single-dimension node scan; multi proposals bin-pack CPU and
 // RAM deltas together.
-func (s *runState) checkFeasible(t *tenant, pressure float64) (string, float64) {
+func (s *runState) checkFeasible(t *tenant, pressure float64) (*k8s.Node, float64) {
 	if t.prop.multi {
-		return infeasibleMulti(t, s.cluster, pressure, s.arb)
+		return infeasibleMulti(t, pressure, s.arb)
 	}
-	return infeasible(t, t.prop.target, s.cluster, pressure, s.arb)
+	return infeasible(t, t.prop.target, pressure, s.arb)
 }
 
 // arbScratch holds the phase-2 working storage reused across ticks: the
@@ -916,7 +900,7 @@ func (s *runState) checkFeasible(t *tenant, pressure float64) (string, float64) 
 // span a handful of nodes, so linear probing beats a map rebuilt per
 // check) and enact's rollback list.
 type arbScratch struct {
-	nodes   []string
+	nodes   []*k8s.Node
 	need    []float64
 	needMem []float64 // RAM deltas per node (multi-resource proposals)
 	done    []*k8s.Pod
@@ -926,40 +910,36 @@ type arbScratch struct {
 // oversubscribe any node hosting its pods: per node, the summed resize
 // deltas must fit the node's free capacity minus the transient scheduling
 // pressure (which the raw in-place resize path does not see — the arbiter
-// is the pressure-aware layer). It returns the first violating node's
-// name and the shortfall in cores, or "" when the grant fits.
-func infeasible(t *tenant, target int, cluster *k8s.Cluster, pressure float64, arb *arbScratch) (string, float64) {
+// is the pressure-aware layer). It returns the first violating node and
+// the shortfall in cores, or nil when the grant fits.
+func infeasible(t *tenant, target int, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
 	arb.nodes = arb.nodes[:0]
 	arb.need = arb.need[:0]
 	for _, p := range t.set.Pods {
 		delta := float64(target) - p.CPULimit()
-		if delta <= 0 || p.NodeName == "" {
+		if delta <= 0 || p.Node == nil {
 			continue
 		}
 		found := false
-		for j, name := range arb.nodes {
-			if name == p.NodeName {
+		for j, n := range arb.nodes {
+			if n == p.Node {
 				arb.need[j] += delta
 				found = true
 				break
 			}
 		}
 		if !found {
-			arb.nodes = append(arb.nodes, p.NodeName)
+			arb.nodes = append(arb.nodes, p.Node)
 			arb.need = append(arb.need, delta)
 		}
 	}
-	for j, name := range arb.nodes {
-		n := cluster.NodeByName(name)
-		if n == nil {
-			return name, arb.need[j]
-		}
+	for j, n := range arb.nodes {
 		free := n.Free().CPUCores - pressure
 		if arb.need[j] > free {
-			return name, arb.need[j] - free
+			return n, arb.need[j] - free
 		}
 	}
-	return "", 0
+	return nil, 0
 }
 
 // enact applies one granted proposal: every pod of the set is resized in

@@ -60,9 +60,7 @@ func mixedFleet(t *testing.T, n int) []TenantSpec {
 			NewRecommender: func() (recommend.Recommender, error) {
 				return recommend.NewCaaSPERReactive(core.DefaultConfig(maxC), 40)
 			},
-			InitialCores: 2,
-			MinCores:     2,
-			MaxCores:     maxC,
+			Resources:    core.CPURange(2, 2, maxC),
 			Replicas:     1,
 			MemGiBPerPod: 2,
 		})
@@ -138,9 +136,9 @@ func TestArbitrationSeverityPriority(t *testing.T) {
 	// 8−2−2 = 4 cores free: exactly one grant fits.
 	tenants := []TenantSpec{
 		{Name: "mild", Trace: flatTrace("mild", 15, 6), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 		{Name: "hot", Trace: flatTrace("hot", 15, 10), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -186,9 +184,9 @@ func TestScaleDownsReleaseCapacityFirst(t *testing.T) {
 	// scale-down lands first.
 	tenants := []TenantSpec{
 		{Name: "grower", Trace: flatTrace("g", 15, 8), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 4, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(4, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 		{Name: "shrinker", Trace: flatTrace("s", 15, 1), NewRecommender: stubFactory("stub", 2),
-			InitialCores: 4, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(4, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -218,7 +216,7 @@ func TestChaosAborts(t *testing.T) {
 	opts.FaultSeed = 3
 	tenants := []TenantSpec{
 		{Name: "only", Trace: flatTrace("o", 60, 6), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -240,7 +238,7 @@ func TestChaosAborts(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	good := TenantSpec{
 		Name: "a", Trace: flatTrace("a", 10, 1), NewRecommender: stubFactory("stub", 2),
-		InitialCores: 1, MinCores: 1, MaxCores: 4, Replicas: 1,
+		Resources: core.CPURange(1, 1, 4), Replicas: 1,
 	}
 	cases := []struct {
 		name    string
@@ -251,13 +249,15 @@ func TestValidationErrors(t *testing.T) {
 		{"no tenants", nil, nil, errs.ErrInvalidConfig},
 		{"bad cadence", []TenantSpec{good}, func(o *Options) { o.DecisionEveryMinutes = 0 }, errs.ErrInvalidConfig},
 		{"empty trace", []TenantSpec{{Name: "x", NewRecommender: good.NewRecommender,
-			InitialCores: 1, MinCores: 1, MaxCores: 4}}, nil, errs.ErrEmptyTrace},
+			Resources: core.CPURange(1, 1, 4)}}, nil, errs.ErrEmptyTrace},
 		{"coarse trace", []TenantSpec{{Name: "x", Trace: trace.New("coarse", time.Hour, []float64{1, 2, 3}),
 			NewRecommender: good.NewRecommender,
-			InitialCores:   1, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
+			Resources:      core.CPURange(1, 1, 4)}}, nil, errs.ErrInvalidConfig},
 		{"duplicate names", []TenantSpec{good, good}, nil, errs.ErrInvalidConfig},
-		{"bad bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
-			InitialCores: 0, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
+		{"zero bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender}},
+			nil, errs.ErrInvalidConfig},
+		{"inverted bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
+			Resources: core.CPURange(2, 5, 4)}}, nil, errs.ErrInvalidConfig},
 	}
 	for _, tc := range cases {
 		opts := DefaultOptions()

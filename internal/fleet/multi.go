@@ -229,12 +229,13 @@ func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
 // still absorb the peak with the same headroom.
 func (t *tenant) decideMulti(limit int) {
 	m := t.mr
+	maxC := m.rr.Max.CPUCores
 	target := t.rec.Recommend(limit)
-	if target < t.spec.MinCores {
-		target = t.spec.MinCores
+	if target < m.rr.Min.CPUCores {
+		target = m.rr.Min.CPUCores
 	}
-	if target > t.spec.MaxCores {
-		target = t.spec.MaxCores
+	if target > maxC {
+		target = maxC
 	}
 
 	ram := m.ramAlloc
@@ -252,11 +253,11 @@ func (t *tenant) decideMulti(limit int) {
 		if minR < 1 {
 			minR = 1
 		}
-		ceiling := float64(t.spec.MaxCores*reps) * (1 - horizontalHeadroom)
-		smaller := float64(t.spec.MaxCores*(reps-1)) * (1 - horizontalHeadroom)
-		if target >= t.spec.MaxCores && m.cpuPeakTotal > ceiling && (maxR == 0 || reps < maxR) {
+		ceiling := float64(maxC*reps) * (1 - horizontalHeadroom)
+		smaller := float64(maxC*(reps-1)) * (1 - horizontalHeadroom)
+		if target >= maxC && m.cpuPeakTotal > ceiling && (maxR == 0 || reps < maxR) {
 			reps++
-		} else if reps > minR && target < t.spec.MaxCores && m.cpuPeakTotal <= smaller {
+		} else if reps > minR && target < maxC && m.cpuPeakTotal <= smaller {
 			reps--
 		}
 	}
@@ -384,8 +385,8 @@ func (s *runState) enactMulti(t *tenant, now int) {
 // summed CPU AND RAM resize deltas of the tenant's pods must fit the
 // node's free capacity (CPU under the current scheduling pressure). It
 // returns the first violating node and the shortfall in the violating
-// dimension's native unit, or "" when the grant fits.
-func infeasibleMulti(t *tenant, cluster *k8s.Cluster, pressure float64, arb *arbScratch) (string, float64) {
+// dimension's native unit, or nil when the grant fits.
+func infeasibleMulti(t *tenant, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
 	m := t.mr
 	podMem := t.spec.MemGiBPerPod
 	if m.ram != nil {
@@ -397,7 +398,7 @@ func infeasibleMulti(t *tenant, cluster *k8s.Cluster, pressure float64, arb *arb
 	for _, p := range t.set.Pods {
 		cpuDelta := float64(t.prop.target) - p.CPULimit()
 		memDelta := podMem - p.Spec.Requests.MemoryGiB
-		if (cpuDelta <= 0 && memDelta <= 0) || p.NodeName == "" {
+		if (cpuDelta <= 0 && memDelta <= 0) || p.Node == nil {
 			continue
 		}
 		if cpuDelta < 0 {
@@ -407,8 +408,8 @@ func infeasibleMulti(t *tenant, cluster *k8s.Cluster, pressure float64, arb *arb
 			memDelta = 0
 		}
 		found := false
-		for j, name := range arb.nodes {
-			if name == p.NodeName {
+		for j, n := range arb.nodes {
+			if n == p.Node {
 				arb.need[j] += cpuDelta
 				arb.needMem[j] += memDelta
 				found = true
@@ -416,25 +417,21 @@ func infeasibleMulti(t *tenant, cluster *k8s.Cluster, pressure float64, arb *arb
 			}
 		}
 		if !found {
-			arb.nodes = append(arb.nodes, p.NodeName)
+			arb.nodes = append(arb.nodes, p.Node)
 			arb.need = append(arb.need, cpuDelta)
 			arb.needMem = append(arb.needMem, memDelta)
 		}
 	}
-	for j, name := range arb.nodes {
-		n := cluster.NodeByName(name)
-		if n == nil {
-			return name, arb.need[j]
-		}
+	for j, n := range arb.nodes {
 		free := n.Free()
 		if avail := free.CPUCores - pressure; arb.need[j] > avail {
-			return name, arb.need[j] - avail
+			return n, arb.need[j] - avail
 		}
 		if arb.needMem[j] > free.MemoryGiB {
-			return name, arb.needMem[j] - free.MemoryGiB
+			return n, arb.needMem[j] - free.MemoryGiB
 		}
 	}
-	return "", 0
+	return nil, 0
 }
 
 // finishMulti closes the tenant's multi-resource books in the epilogue.

@@ -37,16 +37,17 @@ func multiSpec(name string, minutes int) TenantSpec {
 		RAMTrace:       trace.New(name+"-ram", time.Minute, ram),
 		DiskTrace:      trace.New(name+"-disk", time.Minute, dsk),
 		NewRecommender: stubFactory("stub", 2),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Resources: mustRange("ram=4-16,disk=5-40"),
+		Resources:      mustRange(core.CPURange(2, 1, 4), "ram=4-16,disk=5-40"),
 	}
 }
 
-func mustRange(s string) core.ResourceRange {
+// mustRange adds the dimensions of a -resources spec to cpu's CPU bounds.
+func mustRange(cpu core.ResourceRange, s string) core.ResourceRange {
 	rr, err := core.ParseResourceSpec(s)
 	if err != nil {
 		panic(err)
 	}
+	rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores = cpu.Initial.CPUCores, cpu.Min.CPUCores, cpu.Max.CPUCores
 	return rr
 }
 
@@ -130,9 +131,8 @@ func TestMultiHorizontalOverflow(t *testing.T) {
 		Name:           "web",
 		Trace:          trace.New("web", time.Minute, cpu),
 		NewRecommender: stubFactory("stub", 8), // always pinned to Max
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Stateless: true,
-		Resources: mustRange("ram=2-8,replicas=1-4"),
+		Resources:      mustRange(core.CPURange(2, 1, 4), "ram=2-8,replicas=1-4"),
+		Stateless:      true,
 	}
 	opts := DefaultOptions()
 	opts.Minutes = minutes
@@ -164,9 +164,8 @@ func TestMultiHorizontalScaleIn(t *testing.T) {
 		Name:           "web",
 		Trace:          trace.New("web", time.Minute, cpu),
 		NewRecommender: newThresholdFactory(4),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Stateless: true,
-		Resources: mustRange("ram=2-8,replicas=1-6"),
+		Resources:      mustRange(core.CPURange(2, 1, 4), "ram=2-8,replicas=1-6"),
+		Stateless:      true,
 	}
 	opts := DefaultOptions()
 	opts.Minutes = minutes
@@ -206,7 +205,7 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 		specs := mixedFleet(t, 6)
 		for i := range specs {
 			if i%2 == 0 {
-				specs[i].Resources = mustRange("ram=4-16,disk=10-60")
+				specs[i].Resources = mustRange(specs[i].Resources, "ram=4-16,disk=10-60")
 			}
 		}
 		specs = append(specs, multiSpec("mx", minutes))
@@ -267,7 +266,7 @@ func TestCPUOnlyStreamUnchangedByMultiTenantPresence(t *testing.T) {
 	cpuOnly := TenantSpec{
 		Name: "solo", Trace: flatTrace("solo", minutes, 3),
 		NewRecommender: stubFactory("stub", 3),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
+		Resources:      core.CPURange(2, 1, 4),
 	}
 	run := func(specs []TenantSpec) string {
 		mem := obs.NewMemorySink()

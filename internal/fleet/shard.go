@@ -1,4 +1,4 @@
-// Shard-parallel discrete-event engine (Options.Sharding == auto).
+// The discrete-event engine's one event loop, run per shard group.
 //
 // The event engine's only cross-tenant coupling is phase 2: the capacity
 // arbiter compares a proposal's resize deltas against the free capacity
@@ -15,24 +15,27 @@
 // list, virtual clock, arbitration scratch and fault-injector clone
 // (draws are (seed, kind, pod, time)-keyed, so a clone replays the exact
 // values the shared injector would have produced) — fanned out on
-// internal/parallel. Phase 1 inside a shard runs sequentially: the fleet
-// already parallelizes across shards, and one fan-out for the whole run
-// replaces the single-shard loop's one fan-out per tick.
+// internal/parallel, one fan-out for the whole run. Options.Sharding off
+// puts every tenant in one group of this same loop. Phase 1 follows the
+// partition: with several groups the run is already fanned out across
+// them, so each shard walks its awake tenants sequentially; with exactly
+// one group, that group fans its awake tenants out over Options.Workers
+// at every tick (wakeParallel).
 //
 // Determinism and byte-identity. All cross-shard effects are reproduced
 // after the join, sequentially, from per-shard records:
 //
 //   - Results: tenants only ever write their own TenantResult slots, and
 //     the run epilogue (fleet.go) reduces them in tenant order, so the
-//     aggregate sums add in the same order as the single-shard run.
+//     aggregate sums add in the same order as the stepped run.
 //   - Pressure edges: shard clones poll silently; the merge advances the
 //     one authoritative injector across the union of content ticks. A
-//     window's activation edge appears in the single-shard stream after
+//     window's activation edge appears in the stepped stream after
 //     all phase-2 events of ticks before the window's start and before
 //     all phase-2 events of ticks at or after it — a position
 //     independent of the empty ticks in between — so advancing only at
 //     content ticks emits every edge at the identical byte offset.
-//   - Phase-2 events: within one tick the single-shard engine emits
+//   - Phase-2 events: within one tick the stepped engine emits
 //     scale-down enactments in ascending tenant order, then arbitrated
 //     scale-ups in (severity desc, tenant index asc) order. Both orders
 //     are total and each shard's buffered run is already sorted by them,
@@ -75,15 +78,15 @@ func shardPartition(ts []*tenant) (idxs, offsets []int32) {
 		}
 		return x
 	}
-	byNode := make(map[string]int32)
+	byNode := make(map[*k8s.Node]int32)
 	for i, t := range ts {
 		for _, p := range t.set.Pods {
-			if p.NodeName == "" {
+			if p.Node == nil {
 				continue
 			}
-			j, ok := byNode[p.NodeName]
+			j, ok := byNode[p.Node]
 			if !ok {
-				byNode[p.NodeName] = int32(i)
+				byNode[p.Node] = int32(i)
 				continue
 			}
 			ra, rb := find(int32(i)), find(j)
@@ -129,14 +132,14 @@ func shardPartition(ts []*tenant) (idxs, offsets []int32) {
 // evKey orders one shard's buffered phase-2 events for the cross-shard
 // merge: scale-down enactments (stage 0, ascending tenant index) precede
 // arbitrated scale-ups (stage 1, severity descending then index
-// ascending) — the exact total order the single-shard engine emits in.
+// ascending) — the exact total order the stepped engine emits in.
 type evKey struct {
 	stage int8
 	idx   int32
 	sev   float64
 }
 
-// keyLess is the single-shard engine's within-tick emission order.
+// keyLess is the stepped engine's within-tick emission order.
 func keyLess(a, b evKey) bool {
 	if a.stage != b.stage {
 		return a.stage < b.stage
@@ -183,9 +186,10 @@ type tickStat struct {
 // Result) plus the shard's wake heap and bookkeeping.
 type shardRun struct {
 	runState
-	idxs  []int32 // global tenant indices, ascending
-	heap  wakeHeap
-	awake []int
+	idxs   []int32 // global tenant indices, ascending
+	heap   wakeHeap
+	awake  []int
+	fanout bool // the only group: phase 1 fans out over Options.Workers
 
 	ticks   []tickStat // events-enabled: per content tick
 	defBits []uint64   // events-disabled: shared minute bitmap of deferral ticks
@@ -193,10 +197,10 @@ type shardRun struct {
 	dres    Result     // res redirect: shards must not touch the shared Result
 }
 
-// run executes the shard's event loop — the single-shard loop restricted
-// to the shard's tenants, with the cross-shard effects (pressure
-// edges/counts, cluster pressure, arbitration bookkeeping) recorded for
-// the merge instead of applied. See the file comment.
+// run executes the shard's event loop over the shard's tenants, with the
+// cross-shard effects (pressure edges/counts, cluster pressure,
+// arbitration bookkeeping) recorded for the merge instead of applied. See
+// the file comment and events.go.
 func (sr *shardRun) run() {
 	ts := sr.ts
 	if d0 := sr.nextDecisionAt(0); d0 >= 0 {
@@ -227,22 +231,31 @@ func (sr *shardRun) run() {
 			}
 			clock = d + 1
 
+			// Severity is the insufficiency since the previous decision
+			// tick — even for tenants that slept through it — so catch-up
+			// accumulates it only from sevFrom on.
 			sevFrom := d - sr.d + 1
 			if d == sr.warmup {
-				sevFrom = 0
+				sevFrom = 0 // first decision: severity covers the warm-up
 			}
 
-			// Phase 1, sequential within the shard: the run is already
-			// fanned out across shards.
-			for _, i := range awake {
-				t := ts[i]
-				t.advanceTo(d+1, sevFrom)
-				limit := t.lim
-				t.hasProp = false
-				t.decide(limit)
-				t.computeWake(&sr.runState, d, limit)
+			// Phase 1 — catch-up + decide over the awake tenants only;
+			// sleeping tenants are, by the sleep contract, unchanged. A
+			// one-group run fans the awake tenants out over
+			// Options.Workers; otherwise the shards are already fanned out
+			// and each walks its awake tenants sequentially.
+			if sr.fanout {
+				sr.wakeParallel(awake, d, sevFrom)
+			} else {
+				for _, i := range awake {
+					ts[i].wake(&sr.runState, d, sevFrom)
+				}
 			}
 
+			// Phase 2 over the awake subset (ascending index, courtesy of
+			// the heap's secondary key): tenants asleep at d hold no
+			// proposal, so the stepped engine's full walk degenerates to
+			// exactly this subset.
 			evStart := len(sr.sink.evs)
 			contenders, granted, deferred := sr.enactPhase(awake, pressure, d)
 			if sr.events {
@@ -269,6 +282,8 @@ func (sr *shardRun) run() {
 				}
 			}
 
+			// Only proposers can have been resized by enactPhase
+			// (granted, deferred or fault-aborted — re-read either way).
 			for _, i := range awake {
 				if t := ts[i]; t.hasProp {
 					t.lim = t.set.CPULimit()
@@ -277,7 +292,7 @@ func (sr *shardRun) run() {
 
 			if len(heap) == 0 {
 				if w := uniformWake(ts, awake); w >= 0 {
-					d = w
+					d = w // lockstep: rerun the tick loop on the same list
 					continue
 				}
 			}
@@ -290,18 +305,46 @@ func (sr *shardRun) run() {
 		}
 	}
 
-	// Account the shard's tenants to the horizon (the single-shard
-	// epilogue's tail catch-up, restricted to this shard).
-	for _, i := range sr.idxs {
-		ts[i].advanceTo(sr.minutes, sr.minutes)
+	// Account the shard's tenants to the horizon. Severity after the
+	// final decision is never read, so catch-up skips it (sevFrom =
+	// minutes).
+	if sr.fanout {
+		sr.finishParallel()
+	} else {
+		for _, i := range sr.idxs {
+			ts[i].advanceTo(sr.minutes, sr.minutes)
+		}
 	}
 }
 
-// runEventsSharded fans the shard groups out on internal/parallel, then
-// merges the per-shard records back into the authoritative injector,
-// cluster pressure, Result and event stream — sequentially, so the
-// output is byte-identical to runEventsSingle at any worker count.
-func (s *runState) runEventsSharded(idxs, offsets []int32) error {
+// wakeParallel is phase 1 of a one-group run: the awake tenants catch up
+// and decide on Options.Workers goroutines. Each task touches one
+// tenant's state. The fan-out lives in its own method so that its
+// closure's captures stay out of run's frame: inline, they escape to the
+// heap on every run, the many-group path included.
+func (sr *shardRun) wakeParallel(awake []int, d, sevFrom int) {
+	ts := sr.ts
+	_ = parallel.ForEach(context.Background(), len(awake), sr.workers, func(k int) error {
+		ts[awake[k]].wake(&sr.runState, d, sevFrom)
+		return nil
+	})
+}
+
+// finishParallel is the horizon catch-up of a one-group run, fanned out
+// like wakeParallel.
+func (sr *shardRun) finishParallel() {
+	ts, end := sr.ts, sr.minutes
+	_ = parallel.ForEach(context.Background(), len(sr.idxs), sr.workers, func(k int) error {
+		ts[sr.idxs[k]].advanceTo(end, end)
+		return nil
+	})
+}
+
+// runShards fans the shard groups out on internal/parallel, then merges
+// the per-shard records back into the authoritative injector, cluster
+// pressure, Result and event stream — sequentially, so the output is
+// byte-identical to the stepped engine at any worker count.
+func (s *runState) runShards(idxs, offsets []int32) error {
 	n := len(offsets) - 1
 	shards := make([]shardRun, n)
 	arbs := make([]arbScratch, n)
@@ -316,7 +359,7 @@ func (s *runState) runEventsSharded(idxs, offsets []int32) error {
 			maxPods = np
 		}
 	}
-	nodesBack := make([]string, n*maxPods)
+	nodesBack := make([]*k8s.Node, n*maxPods)
 	needBack := make([]float64, n*maxPods)
 	doneBack := make([]*k8s.Pod, n*maxPods)
 	// One backing block per working array, carved into per-shard
@@ -344,6 +387,7 @@ func (s *runState) runEventsSharded(idxs, offsets []int32) error {
 		}
 		sr.arb = &arbs[k]
 		sr.res = &sr.dres
+		sr.fanout = n == 1
 		sr.finj = s.finj.Clone()
 		sr.defBits = defBits
 		if s.events {
@@ -398,7 +442,7 @@ func (s *runState) mergeShards(shards []shardRun) {
 			break
 		}
 		// Pressure edges up to and including tick d's window come first,
-		// exactly where the single-shard loop put them (see the file
+		// exactly where the stepped engine puts them (see the file
 		// comment for why empty ticks cannot shift the byte position).
 		if s.finj != nil {
 			pressure = s.finj.AdvancePressure(int64(clock), int64(d+1))
@@ -407,7 +451,7 @@ func (s *runState) mergeShards(shards []shardRun) {
 		clock = d + 1
 
 		// K-way merge of the participating shards' event runs under the
-		// single-shard emission order, then the re-synthesized
+		// stepped engine's emission order, then the re-synthesized
 		// arbitration summary.
 		contenders, granted, deferred := 0, 0, 0
 		for {

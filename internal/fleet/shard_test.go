@@ -8,25 +8,29 @@ import (
 
 	"caasper/internal/core"
 	"caasper/internal/errs"
-	"caasper/internal/faults"
 	"caasper/internal/k8s"
-	"caasper/internal/obs"
 )
-
-// placedTenant builds a bare tenant whose pods sit on the named nodes —
-// enough structure for shardPartition, which reads only set.Pods.
-func placedTenant(nodes ...string) *tenant {
-	set := &k8s.StatefulSet{}
-	for _, n := range nodes {
-		set.Pods = append(set.Pods, &k8s.Pod{NodeName: n})
-	}
-	return &tenant{set: set}
-}
 
 // TestShardPartition pins the partition law directly: connected
 // components of the tenant–node placement graph, groups ordered by
 // smallest member, members ascending within a group.
 func TestShardPartition(t *testing.T) {
+	// placedTenant builds a bare tenant whose pods sit on the named nodes
+	// ("" leaves a pod unplaced) — enough structure for shardPartition,
+	// which reads only set.Pods.
+	nodes := map[string]*k8s.Node{}
+	placedTenant := func(names ...string) *tenant {
+		set := &k8s.StatefulSet{}
+		for _, name := range names {
+			n := nodes[name]
+			if n == nil && name != "" {
+				n = k8s.NewNode(name, 1, 1)
+				nodes[name] = n
+			}
+			set.Pods = append(set.Pods, &k8s.Pod{Node: n})
+		}
+		return &tenant{set: set}
+	}
 	cases := []struct {
 		name        string
 		ts          []*tenant
@@ -64,7 +68,7 @@ func TestShardPartition(t *testing.T) {
 		},
 		{
 			name: "unplaced pods are singletons",
-			// An empty NodeName (pod not yet scheduled) must not weld
+			// A nil Node (pod not yet scheduled) must not weld
 			// every such tenant into one false mega-shard.
 			ts: []*tenant{
 				placedTenant(""), placedTenant(""), placedTenant("n1"),
@@ -91,83 +95,6 @@ func TestShardPartition(t *testing.T) {
 				t.Errorf("shardPartition = %v %v, want %v %v", idxs, offsets, tc.wantIdxs, tc.wantOffsets)
 			}
 		})
-	}
-}
-
-// runSharded executes one events-engine run with the given sharding mode,
-// capturing the result and the encoded event stream.
-func runSharded(t *testing.T, specs []TenantSpec, opts Options, sharding string, workers int) (*Result, string) {
-	t.Helper()
-	mem := obs.NewMemorySink()
-	opts.Engine = EngineEvents
-	opts.Sharding = sharding
-	opts.Workers = workers
-	opts.Events = mem
-	res, err := Run(specs, opts)
-	if err != nil {
-		t.Fatalf("sharding=%s workers=%d: %v", sharding, workers, err)
-	}
-	return res, encodeStream(mem)
-}
-
-// TestShardedEquivalenceChaos16 is the tentpole contract for the sharded
-// engine on the scripts/fleet.sh chaos configuration: the auto-sharded
-// run must reproduce both the single-shard event loop and the stepped
-// reference bit for bit — results and NDJSON stream — at every worker
-// count.
-func TestShardedEquivalenceChaos16(t *testing.T) {
-	opts := func() Options {
-		o := DefaultOptions()
-		o.Minutes = 240
-		var err error
-		o.FaultSpec, err = faults.ParseSpec("restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.FaultSeed = 7
-		return withSmallCluster(o)
-	}
-
-	stepped, steppedStream := runEngine(t, mixedFleet(t, 16), opts(), EngineStepped, 1)
-	base, baseStream := runSharded(t, mixedFleet(t, 16), opts(), ShardingOff, 1)
-	if !reflect.DeepEqual(stepped, base) {
-		t.Fatalf("single-shard events diverged from stepped:\n%s\nvs\n%s", stepped.Summary(), base.Summary())
-	}
-	if steppedStream != baseStream {
-		t.Fatal("single-shard event stream diverged from stepped")
-	}
-	for _, w := range []int{1, 4, 8} {
-		res, stream := runSharded(t, mixedFleet(t, 16), opts(), ShardingAuto, w)
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("sharding=auto workers=%d: result diverged:\n%s\nvs\n%s", w, base.Summary(), res.Summary())
-		}
-		if stream != baseStream {
-			t.Errorf("sharding=auto workers=%d: event stream diverged", w)
-		}
-	}
-}
-
-// TestShardedEquivalenceRandomized64 runs the 64-tenant fuzz fleet (16
-// wide nodes → many genuine multi-tenant shard groups) through the
-// sharded engine at several worker counts, against both the single-shard
-// event loop and the stepped reference.
-func TestShardedEquivalenceRandomized64(t *testing.T) {
-	stepped, steppedStream := runEngine(t, randomized64Specs(t), randomized64Opts(t), EngineStepped, 1)
-	base, baseStream := runSharded(t, randomized64Specs(t), randomized64Opts(t), ShardingOff, 1)
-	if !reflect.DeepEqual(stepped, base) {
-		t.Fatalf("single-shard events diverged from stepped:\n%s\nvs\n%s", stepped.Summary(), base.Summary())
-	}
-	if steppedStream != baseStream {
-		t.Fatal("single-shard event stream diverged from stepped")
-	}
-	for _, w := range []int{1, 4, 8} {
-		res, stream := runSharded(t, randomized64Specs(t), randomized64Opts(t), ShardingAuto, w)
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("sharding=auto workers=%d: result diverged:\n%s\nvs\n%s", w, base.Summary(), res.Summary())
-		}
-		if stream != baseStream {
-			t.Errorf("sharding=auto workers=%d: event stream diverged", w)
-		}
 	}
 }
 

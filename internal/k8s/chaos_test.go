@@ -547,8 +547,8 @@ func TestOperatorInPlaceMidwayFailureRollsBackEarlierPods(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range set.Pods {
-		if p.NodeName != "n1" {
-			t.Fatalf("pod %s on %s, test assumes all pods pack onto n1", p.Name, p.NodeName)
+		if p.Node.Name != "n1" {
+			t.Fatalf("pod %s on %s, test assumes all pods pack onto n1", p.Name, p.Node.Name)
 		}
 	}
 	op, err := NewOperator(set, c, 60)

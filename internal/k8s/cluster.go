@@ -100,18 +100,6 @@ func LargeCluster() *Cluster {
 // Nodes returns the cluster's nodes.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// NodeByName returns the named node, or nil when no such node exists. The
-// fleet arbiter uses it to check scale-up feasibility per hosting node
-// before granting simultaneous resize requests.
-func (c *Cluster) NodeByName(name string) *Node {
-	for _, n := range c.nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Schedule binds the pod to a node with enough free capacity for its
 // requests, using a least-allocated (spread) policy: among fitting nodes,
 // the one with the most free CPU wins, which is how replicas end up
@@ -145,26 +133,22 @@ func (c *Cluster) Schedule(p *Pod) error {
 	n := best
 	n.pods[p.Name] = p
 	n.allocated = n.allocated.Add(p.Spec.Requests)
-	p.NodeName = n.Name
+	p.Node = n
 	return nil
 }
 
 // Evict unbinds the pod from its node (the deallocation step of a rolling
 // update with restart). It is a no-op for unbound pods.
 func (c *Cluster) Evict(p *Pod) {
-	if p.NodeName == "" {
+	n := p.Node
+	if n == nil {
 		return
 	}
-	for _, n := range c.nodes {
-		if n.Name == p.NodeName {
-			if _, ok := n.pods[p.Name]; ok {
-				delete(n.pods, p.Name)
-				n.allocated = n.allocated.Sub(p.Spec.Requests)
-			}
-			break
-		}
+	if _, ok := n.pods[p.Name]; ok {
+		delete(n.pods, p.Name)
+		n.allocated = n.allocated.Sub(p.Spec.Requests)
 	}
-	p.NodeName = ""
+	p.Node = nil
 }
 
 // AddCoTenants schedules `count` opaque co-tenant pods of the given size
@@ -195,26 +179,21 @@ func (c *Cluster) ResizeInPlace(p *Pod, spec ContainerSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if p.NodeName == "" {
+	n := p.Node
+	if n == nil {
 		p.Spec = spec
 		return nil
 	}
-	for _, n := range c.nodes {
-		if n.Name != p.NodeName {
-			continue
+	delta := spec.Requests.Sub(p.Spec.Requests)
+	if delta.CPUCores > 0 || delta.MemoryGiB > 0 {
+		if !delta.Fits(n.Free()) {
+			return fmt.Errorf("k8s: in-place resize of %s infeasible on %s (need %+.0fc, free %.0fc)",
+				p.Name, n.Name, delta.CPUCores, n.Free().CPUCores)
 		}
-		delta := spec.Requests.Sub(p.Spec.Requests)
-		if delta.CPUCores > 0 || delta.MemoryGiB > 0 {
-			if !delta.Fits(n.Free()) {
-				return fmt.Errorf("k8s: in-place resize of %s infeasible on %s (need %+.0fc, free %.0fc)",
-					p.Name, n.Name, delta.CPUCores, n.Free().CPUCores)
-			}
-		}
-		n.allocated = n.allocated.Add(delta)
-		p.Spec = spec
-		return nil
 	}
-	return fmt.Errorf("k8s: pod %s bound to unknown node %q", p.Name, p.NodeName)
+	n.allocated = n.allocated.Add(delta)
+	p.Spec = spec
+	return nil
 }
 
 // TotalAllocatable sums node capacity.

@@ -104,8 +104,8 @@ func TestSchedulerSpreadsAndRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Least-allocated spread: the two pods land on different nodes.
-	if p1.NodeName == p2.NodeName {
-		t.Errorf("pods co-located on %s; expected spread", p1.NodeName)
+	if p1.Node == p2.Node {
+		t.Errorf("pods co-located on %s; expected spread", p1.Node.Name)
 	}
 	// Fill up and overflow.
 	p3, p4 := mk("c", 4), mk("d", 4)
@@ -120,13 +120,13 @@ func TestSchedulerSpreadsAndRespectsCapacity(t *testing.T) {
 		t.Error("over-capacity pod should not schedule")
 	}
 	// Evicting both pods of one node frees enough for the 6-core pod.
-	evicted := p1.NodeName
+	evicted := p1.Node
 	c.Evict(p1)
-	if p1.NodeName != "" {
+	if p1.Node != nil {
 		t.Error("evict should clear binding")
 	}
 	for _, p := range []*Pod{p2, p3, p4} {
-		if p.NodeName == evicted {
+		if p.Node == evicted {
 			c.Evict(p)
 		}
 	}
@@ -182,9 +182,9 @@ func TestNewStatefulSet(t *testing.T) {
 		t.Errorf("allocated = %v", got)
 	}
 	// HA spread: three replicas on three distinct nodes.
-	nodes := map[string]bool{}
+	nodes := map[*Node]bool{}
 	for _, p := range set.Pods {
-		nodes[p.NodeName] = true
+		nodes[p.Node] = true
 	}
 	if len(nodes) != 3 {
 		t.Errorf("replicas on %d nodes, want 3", len(nodes))

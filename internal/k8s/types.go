@@ -130,8 +130,9 @@ type Pod struct {
 	Phase Phase
 	// Spec is the container resource specification.
 	Spec ContainerSpec
-	// NodeName is the node the pod is bound to ("" while pending).
-	NodeName string
+	// Node is the node the pod is bound to (nil while pending). Schedule
+	// sets it and Evict clears it.
+	Node *Node
 	// RestartingUntil is the tick (seconds) at which an in-flight
 	// restart completes; meaningful only in PhaseRestarting.
 	RestartingUntil int64
@@ -171,5 +172,9 @@ func (p *Pod) ConsumeCPU(demandCores, dtSeconds float64) (usedCores float64) {
 
 // String renders the pod for debugging.
 func (p *Pod) String() string {
-	return fmt.Sprintf("Pod{%s %s %s %gc on %q}", p.Name, p.Role, p.Phase, p.CPULimit(), p.NodeName)
+	node := ""
+	if p.Node != nil {
+		node = p.Node.Name
+	}
+	return fmt.Sprintf("Pod{%s %s %s %gc on %q}", p.Name, p.Role, p.Phase, p.CPULimit(), node)
 }

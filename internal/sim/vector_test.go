@@ -14,6 +14,8 @@ import (
 	"caasper/internal/trace"
 )
 
+// vectorOpts adds the dimensions of a -resources spec to the CPU bounds
+// of DefaultOptions(2, 8).
 func vectorOpts(t *testing.T, spec string) Options {
 	t.Helper()
 	rr, err := core.ParseResourceSpec(spec)
@@ -21,6 +23,7 @@ func vectorOpts(t *testing.T, spec string) Options {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(2, 8)
+	rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores = 2, 2, 8
 	opts.Resources = rr
 	return opts
 }

@@ -4,10 +4,9 @@
 # snapshot. A removed re-export or renamed constructor fails here as a
 # byte diff instead of surprising downstream callers.
 #
-# Additions are allowlisted through the deprecation marker: a new symbol
-# whose doc carries "Deprecated:" (a compatibility alias kept for old
-# callers) passes without a snapshot update; any other addition — and
-# every removal — requires an intentional UPDATE=1 regeneration.
+# Every addition and every removal requires an intentional UPDATE=1
+# regeneration. Symbols are retired by migrating their callers first,
+# then deleting them.
 #
 #   sh scripts/apicheck.sh            # verify against testdata/api.txt
 #   UPDATE=1 sh scripts/apicheck.sh   # regenerate after an intentional change
@@ -18,8 +17,7 @@ cd "$(dirname "$0")/.."
 OUT=$(mktemp)
 REMOVED=$(mktemp)
 ADDED=$(mktemp)
-DEP=$(mktemp)
-trap 'rm -f "$OUT" "$REMOVED" "$ADDED" "$DEP"' EXIT
+trap 'rm -f "$OUT" "$REMOVED" "$ADDED"' EXIT
 
 go run ./scripts/apidump | LC_ALL=C sort > "$OUT"
 
@@ -46,20 +44,7 @@ if [ -s "$REMOVED" ]; then
     exit 1
 fi
 
-# Every addition must be a deprecated compatibility alias to pass the
-# gate without a snapshot update.
-go run ./scripts/apidump -deprecated | LC_ALL=C sort > "$DEP"
-BAD=0
-while IFS= read -r sym; do
-    if ! grep -Fqx "$sym" "$DEP"; then
-        [ "$BAD" = 0 ] && echo "==> FAIL: new exported symbols are not Deprecated: aliases:" >&2
-        echo "    + $sym" >&2
-        BAD=1
-    fi
-done < "$ADDED"
-if [ "$BAD" = 1 ]; then
-    echo "    (run UPDATE=1 sh scripts/apicheck.sh to bless an intentional API addition)" >&2
-    exit 1
-fi
-
-echo "==> OK: exported API matches $GOLD plus $(wc -l < "$ADDED" | tr -d ' ') deprecated alias(es)"
+echo "==> FAIL: new exported symbols:" >&2
+sed 's/^/    + /' "$ADDED" >&2
+echo "    (run UPDATE=1 sh scripts/apicheck.sh to bless an intentional API addition)" >&2
+exit 1

@@ -6,6 +6,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Formatting gate: every tracked Go file must already be gofmt-clean.
+echo "==> gofmt -l (tracked .go files)"
+UNFORMATTED="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "$UNFORMATTED" >&2
+    echo "==> FAIL: the files above need gofmt -w" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 

@@ -39,10 +39,10 @@ done
 echo "==> engines stepped/events byte-identical at workers 1/4/8"
 
 # Sharding determinism: the events legs above run with the default
-# -sharding auto (node-disjoint tenant groups in parallel); this leg pins
-# the single-shard reference loop against the same stream, so a drift in
-# the shard partition, the per-shard clocks or the merge order is a byte
-# diff here.
+# -sharding auto (node-disjoint tenant groups in parallel); this leg runs
+# -sharding off (every tenant in one group, phase 1 fanned out over the
+# workers) against the same stream, so a drift in the shard partition,
+# the per-shard clocks or the merge order is a byte diff here.
 for W in 1 4 8; do
     echo "==> fleet chaos run (engine events, sharding off, workers $W, -race)"
     go run -race ./cmd/caasper-fleet -tenants 16 -minutes 240 -cluster small \

@@ -66,7 +66,7 @@ func main() {
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
 		engine       = flag.String("engine", "stepped", "tick engine: stepped (minute-by-minute reference) or events (discrete-event wake queue; byte-identical output)")
 		sharding     = flag.String("sharding", "auto", "events-engine shard grouping: auto (run node-disjoint tenant groups concurrently) or off (all tenants in one group; byte-identical output)")
-		resourceSpec = flag.String("resources", "", `resource-vector spec applied to every tenant, e.g. "ram=4-16,disk=5-40" or "ram=4-32,replicas=1-4" (a replicas range marks the tenants stateless for horizontal overflow; requires the stepped engine)`)
+		resourceSpec = flag.String("resources", "", `resource-vector spec applied to every tenant, e.g. "ram=4-16,disk=5-40" or "ram=4-32,replicas=1-4" (a replicas range marks the tenants stateless for horizontal overflow; requires the stepped engine; CPU bounds come from -initial/-min/-max, a cpu= entry is an error)`)
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
 		target       = flag.String("target", "", "load-generator mode: replay traces against a caasper-serve URL instead of simulating")
@@ -123,6 +123,9 @@ func main() {
 		rr, err = caasper.ParseResourceSpec(*resourceSpec)
 		if err != nil {
 			fatal(err)
+		}
+		if rr.Max.CPUCores > 0 {
+			fatal(fmt.Errorf("-resources %q: set CPU bounds with -initial/-min/-max, not a cpu= entry: %w", *resourceSpec, caasper.ErrInvalidConfig))
 		}
 	}
 

@@ -58,7 +58,7 @@ func main() {
 		decisionInt  = flag.Int("decision-interval", 10, "minutes between decisions")
 		resizeDelay  = flag.Int("resize-delay", 10, "minutes for a resize to take effect")
 		seed         = flag.Uint64("seed", 1, "workload seed")
-		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "ram=4-32,disk=20-100" (CPU bounds come from -initial/-max)`)
+		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "ram=4-32,disk=20-100" (CPU bounds come from -initial/-max; a cpu= entry is an error)`)
 		faultSpec    = flag.String("faults", "", `fault-injection spec, e.g. "restart-fail:p=0.2,metrics-gap:p=0.05" (times in minutes; empty: fault-free)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
 		workers      = flag.Int("workers", 0, "worker goroutines for multi-recommender runs (default: GOMAXPROCS)")
@@ -108,13 +108,10 @@ func main() {
 	opts.FaultSpec = spec
 	opts.FaultSeed = *faultSeed
 	if *resourceSpec != "" {
-		rr, err := caasper.ParseResourceSpec(*resourceSpec)
+		rr, err := vectorResources(*resourceSpec, opts.Resources)
 		if err != nil {
 			fatal(err)
 		}
-		// -initial/-max set the CPU bounds; -resources adds the rest.
-		cpu := opts.Resources
-		rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores = cpu.Initial.CPUCores, cpu.Min.CPUCores, cpu.Max.CPUCores
 		opts.Resources = rr
 	}
 	vector := opts.Resources.Multi()
@@ -237,6 +234,21 @@ func loadTrace(workloadName, alibabaID, traceFile string, seed uint64) (*caasper
 	default:
 		return nil, fmt.Errorf("one of -workload, -alibaba or -trace is required (workloads: %s)", knownWorkloads())
 	}
+}
+
+// vectorResources parses a -resources spec and completes it with the
+// CPU bounds of cpu (set by -initial/-max). A cpu= entry is rejected
+// rather than silently overwritten: the flags own the CPU dimension.
+func vectorResources(spec string, cpu caasper.ResourceRange) (caasper.ResourceRange, error) {
+	rr, err := caasper.ParseResourceSpec(spec)
+	if err != nil {
+		return rr, err
+	}
+	if rr.Max.CPUCores > 0 {
+		return rr, fmt.Errorf("-resources %q: set CPU bounds with -initial/-max, not a cpu= entry: %w", spec, caasper.ErrInvalidConfig)
+	}
+	rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores = cpu.Initial.CPUCores, cpu.Min.CPUCores, cpu.Max.CPUCores
+	return rr, nil
 }
 
 func splitList(s string) []string {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -87,5 +88,27 @@ func TestEndToEndSimViaHelpers(t *testing.T) {
 	}
 	if res.Minutes != int(12*time.Hour/time.Minute) {
 		t.Errorf("minutes = %d", res.Minutes)
+	}
+}
+
+func TestVectorResourcesRejectsCPUEntry(t *testing.T) {
+	cpu := caasper.DefaultSimOptions(4, 12).Resources
+	_, err := vectorResources("cpu=2-12,ram=4-32,disk=20-100", cpu)
+	if !errors.Is(err, caasper.ErrInvalidConfig) {
+		t.Fatalf("cpu= entry: want ErrInvalidConfig, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "-initial/-max") {
+		t.Errorf("error should name the CPU flags: %v", err)
+	}
+
+	rr, err := vectorResources("ram=4-32,disk=20-100", cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Initial.CPUCores != cpu.Initial.CPUCores || rr.Min.CPUCores != cpu.Min.CPUCores || rr.Max.CPUCores != cpu.Max.CPUCores {
+		t.Errorf("CPU bounds %+v not taken from the flags %+v", rr, cpu)
+	}
+	if rr.Max.RAMGB != 32 || rr.Initial.DiskGB != 20 {
+		t.Errorf("non-CPU dimensions lost: %+v", rr)
 	}
 }

@@ -319,26 +319,26 @@ func (r *Result) Summary() string {
 var sinkPool = sync.Pool{New: func() any { return obs.NewMemorySink() }}
 
 // proposal is one tenant's pending resize request for the current tick.
-// CPU-only tenants fill only target/severity; multi-resource tenants set
-// multi and carry explicit targets for every managed dimension.
+// CPU-only tenants fill only target/severity; multi-resource tenants
+// (t.mr != nil) also carry explicit targets for every managed dimension.
 type proposal struct {
 	target   int
 	severity float64 // accumulated insufficient core-minutes since the last decision
-	multi    bool
-	ram      int // RAM GB target (multi only)
-	disk     int // disk GB target (multi only)
-	reps     int // replica target (multi only)
+	ram      int     // RAM GB target (multi only)
+	disk     int     // disk GB target (multi only)
+	reps     int     // replica target (multi only)
 }
 
 // grows reports whether any dimension of the proposal asks for more
 // capacity — such proposals go through the arbiter; pure releases enact
-// first. For CPU-only proposals this is exactly the pre-vector
-// target-vs-limit comparison.
+// first. A CPU-only proposal always moves its target (decide files none
+// otherwise), so for it this is the plain scale-up test.
 func (p proposal) grows(t *tenant) bool {
-	if !p.multi {
-		return p.target >= t.set.CPULimit()
+	if p.target > t.set.CPULimit() {
+		return true
 	}
-	return p.target > t.set.CPULimit() || p.ram > t.mr.ramAlloc || p.reps > t.mr.replicas
+	m := t.mr
+	return m != nil && (p.ram > m.ramAlloc || p.reps > m.replicas)
 }
 
 // tenant is the per-tenant runtime state. Phase 1 touches exactly one
@@ -379,7 +379,8 @@ type tenant struct {
 // decide evaluates the recommender at a decision tick: the clamped target
 // becomes a phase-2 proposal when it differs from the current limit, and
 // the severity accumulator (the arbiter's priority signal) is snapshotted
-// into the proposal and reset either way.
+// into the proposal and reset either way. Multi-resource tenants hand the
+// clamped target on to decideMulti, which weighs the other dimensions.
 func (t *tenant) decide(limit int) {
 	target := t.rec.Recommend(limit)
 	if target < t.spec.Resources.Min.CPUCores {
@@ -387,6 +388,10 @@ func (t *tenant) decide(limit int) {
 	}
 	if target > t.spec.Resources.Max.CPUCores {
 		target = t.spec.Resources.Max.CPUCores
+	}
+	if t.mr != nil {
+		t.decideMulti(limit, target)
+		return
 	}
 	if target != limit {
 		t.prop = proposal{target: target, severity: t.severity}
@@ -539,7 +544,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		// The decide clamp reads the resolved bounds off the tenant's copy.
 		t.spec.Resources = rr
 		if rr.Multi() {
-			if err := t.initMulti(rr, replicas, minutes, opts); err != nil {
+			if err := t.initMulti(replicas, minutes, period, opts); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 			}
 		}
@@ -820,7 +825,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			if s.ssink != nil {
 				s.ssink.key = evKey{stage: 0, idx: int32(i)}
 			}
-			s.enactProposal(t, now)
+			s.enact(t, now)
 		} else {
 			ups = append(ups, i)
 		}
@@ -853,7 +858,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			if s.ssink != nil {
 				s.ssink.key = evKey{stage: 1, idx: int32(i), sev: t.prop.severity}
 			}
-			if node, short := s.checkFeasible(t, pressure); node != nil {
+			if node, short := infeasible(t, pressure, s.arb); node != nil {
 				t.res.Deferrals++
 				deferred++
 				if s.events {
@@ -868,7 +873,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 				}
 				continue
 			}
-			s.enactProposal(t, now)
+			s.enact(t, now)
 			granted++
 		}
 	}
@@ -876,29 +881,11 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 	return len(ups), granted, deferred
 }
 
-// enactProposal routes a granted proposal to the matching enactor.
-func (s *runState) enactProposal(t *tenant, now int) {
-	if t.prop.multi {
-		s.enactMulti(t, now)
-		return
-	}
-	enact(t, t.prop, s.cluster, s.arb, s.h.Events, s.events, now)
-}
-
-// checkFeasible routes the arbiter's capacity check: CPU-only proposals
-// keep the single-dimension node scan; multi proposals bin-pack CPU and
-// RAM deltas together.
-func (s *runState) checkFeasible(t *tenant, pressure float64) (*k8s.Node, float64) {
-	if t.prop.multi {
-		return infeasibleMulti(t, pressure, s.arb)
-	}
-	return infeasible(t, t.prop.target, pressure, s.arb)
-}
-
 // arbScratch holds the phase-2 working storage reused across ticks: the
-// per-node resize tally of infeasible (a pair of parallel slices — sets
-// span a handful of nodes, so linear probing beats a map rebuilt per
-// check) and enact's rollback list.
+// per-node resize tally of infeasible (parallel slices — sets span a
+// handful of nodes, so linear probing beats a map rebuilt per check) and
+// enact's rollback list. needMem is touched only by multi-resource
+// tenants, so CPU-only fleets never allocate it.
 type arbScratch struct {
 	nodes   []*k8s.Node
 	need    []float64
@@ -906,24 +893,40 @@ type arbScratch struct {
 	done    []*k8s.Pod
 }
 
-// infeasible checks whether granting the tenant's scale-up would
-// oversubscribe any node hosting its pods: per node, the summed resize
-// deltas must fit the node's free capacity minus the transient scheduling
-// pressure (which the raw in-place resize path does not see — the arbiter
-// is the pressure-aware layer). It returns the first violating node and
-// the shortfall in cores, or nil when the grant fits.
-func infeasible(t *tenant, target int, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
+// infeasible checks whether granting the tenant's proposal would
+// oversubscribe any node hosting its pods: per node, the summed CPU
+// resize deltas must fit the node's free capacity minus the transient
+// scheduling pressure (which the raw in-place resize path does not see —
+// the arbiter is the pressure-aware layer), and for a multi-resource
+// tenant the summed RAM deltas must fit the node's free memory too. It
+// returns the first violating node and the shortfall in the violating
+// dimension's native unit, or nil when the grant fits.
+func infeasible(t *tenant, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
+	multi := t.mr != nil
+	podMem := t.spec.MemGiBPerPod
+	if multi && t.mr.ram != nil {
+		podMem = float64(t.prop.ram)
+	}
 	arb.nodes = arb.nodes[:0]
 	arb.need = arb.need[:0]
+	arb.needMem = arb.needMem[:0]
 	for _, p := range t.set.Pods {
-		delta := float64(target) - p.CPULimit()
-		if delta <= 0 || p.Node == nil {
+		delta := float64(t.prop.target) - p.CPULimit()
+		memDelta := 0.0
+		if multi {
+			memDelta = podMem - p.Spec.Requests.MemoryGiB
+		}
+		if (delta <= 0 && memDelta <= 0) || p.Node == nil {
 			continue
 		}
+		delta, memDelta = max(delta, 0), max(memDelta, 0)
 		found := false
 		for j, n := range arb.nodes {
 			if n == p.Node {
 				arb.need[j] += delta
+				if multi {
+					arb.needMem[j] += memDelta
+				}
 				found = true
 				break
 			}
@@ -931,67 +934,135 @@ func infeasible(t *tenant, target int, pressure float64, arb *arbScratch) (*k8s.
 		if !found {
 			arb.nodes = append(arb.nodes, p.Node)
 			arb.need = append(arb.need, delta)
+			if multi {
+				arb.needMem = append(arb.needMem, memDelta)
+			}
 		}
 	}
 	for j, n := range arb.nodes {
-		free := n.Free().CPUCores - pressure
-		if arb.need[j] > free {
-			return n, arb.need[j] - free
+		free := n.Free()
+		if avail := free.CPUCores - pressure; arb.need[j] > avail {
+			return n, arb.need[j] - avail
+		}
+		if multi && arb.needMem[j] > free.MemoryGiB {
+			return n, arb.needMem[j] - free.MemoryGiB
 		}
 	}
 	return nil, 0
 }
 
-// enact applies one granted proposal: every pod of the set is resized in
-// place to the target (all-or-nothing — an unexpected mid-apply rejection
-// rolls the already-resized pods back). An injected restart failure
-// aborts the enactment before any pod changes, modelling a failed apply.
-func enact(t *tenant, prop proposal, cluster *k8s.Cluster, arb *arbScratch, sink obs.Sink, events bool, now int) {
+// enact applies one granted proposal. The in-place resize goes first:
+// every pod of the set moves to the CPU target — and, for a RAM-managed
+// tenant, the RAM grant — all-or-nothing (an unexpected mid-apply
+// rejection rolls the already-resized pods back). An injected restart
+// failure aborts the enactment before any pod changes, modelling a failed
+// apply. An aborted resize drops the whole proposal; the next decision
+// re-files it. A multi-resource tenant then grows its volume (never
+// shrinks it) and adds or removes a replica.
+func (s *runState) enact(t *tenant, now int) {
+	m, prop := t.mr, t.prop
 	from := t.set.CPULimit()
-	if t.inj.RestartFails(t.pod, int64(now)) {
-		t.res.ResizesAborted++
-		if events {
-			sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
-				obs.S("tenant", t.spec.Name),
-				obs.I("from", int64(from)),
-				obs.I("to", int64(prop.target)),
-				obs.S("reason", "restart-fail"),
-			}})
+	oldMem, newMem := t.spec.MemGiBPerPod, t.spec.MemGiBPerPod
+	resize := prop.target != from
+	fromRAM, fromReps := 0, 0
+	if m != nil {
+		fromRAM, fromReps = m.ramAlloc, m.replicas
+		if m.ram != nil {
+			oldMem, newMem = float64(fromRAM), float64(prop.ram)
+			resize = resize || prop.ram != fromRAM
 		}
-		return
 	}
-	done := arb.done[:0]
-	for _, p := range t.set.Pods {
-		spec := k8s.NewGuaranteedSpec(prop.target, t.spec.MemGiBPerPod)
-		if err := cluster.ResizeInPlace(p, spec); err != nil {
-			// The arbiter pre-checked feasibility, so this is a genuine
-			// surprise (e.g. a racing co-tenant): roll back and treat it
-			// as an aborted enactment rather than leaving the set split.
-			for _, q := range done {
-				_ = cluster.ResizeInPlace(q, k8s.NewGuaranteedSpec(from, t.spec.MemGiBPerPod))
-			}
-			arb.done = done[:0]
-			t.res.ResizesAborted++
-			if events {
-				sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
-					obs.S("tenant", t.spec.Name),
-					obs.I("from", int64(from)),
-					obs.I("to", int64(prop.target)),
-					obs.S("reason", "infeasible"),
-				}})
-			}
+
+	if resize {
+		if t.inj.RestartFails(t.pod, int64(now)) {
+			s.aborted(t, from, "restart-fail", now)
 			return
 		}
-		done = append(done, p)
+		done := s.arb.done[:0]
+		for _, p := range t.set.Pods {
+			if err := s.cluster.ResizeInPlace(p, k8s.NewGuaranteedSpec(prop.target, newMem)); err != nil {
+				// The arbiter pre-checked feasibility, so this is a genuine
+				// surprise (e.g. a racing co-tenant): roll back and treat it
+				// as an aborted enactment rather than leaving the set split.
+				for _, q := range done {
+					_ = s.cluster.ResizeInPlace(q, k8s.NewGuaranteedSpec(from, oldMem))
+				}
+				s.arb.done = done[:0]
+				s.aborted(t, from, "infeasible", now)
+				return
+			}
+			done = append(done, p)
+		}
+		s.arb.done = done[:0]
+		if m != nil && m.ram != nil {
+			m.ramAlloc = prop.ram
+			t.set.MemGiBPerPod = newMem // future replicas inherit the grant
+		}
+		t.res.NumScalings++
 	}
-	arb.done = done[:0]
-	t.res.NumScalings++
-	if events {
-		sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: []obs.Field{
+
+	if m != nil {
+		if m.dsk != nil && prop.disk > m.diskAlloc {
+			m.diskAlloc = prop.disk
+		}
+		// Only a Stateless tenant's decideMulti moves the replica target.
+		if prop.reps > fromReps {
+			if _, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now+t.spec.SeedMinutes)); err != nil {
+				// The arbiter checks existing pods' nodes; a fresh replica
+				// competes for cluster-wide capacity and may still lose.
+				t.res.Deferrals++
+				if s.events {
+					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+						obs.S("tenant", t.spec.Name),
+						obs.S("reason", "scale-out"),
+						obs.I("want_replicas", int64(prop.reps)),
+						obs.F("severity", prop.severity),
+					}})
+				}
+			} else {
+				m.replicas++
+				m.seeding = now + t.spec.SeedMinutes
+				t.res.NumScalings++
+			}
+		} else if prop.reps < fromReps {
+			if _, err := t.set.RemoveReplica(s.cluster); err == nil {
+				m.replicas--
+				t.res.NumScalings++
+			}
+		}
+	}
+
+	if s.events {
+		fields := []obs.Field{
 			obs.S("tenant", t.spec.Name),
 			obs.I("from", int64(from)),
 			obs.I("to", int64(prop.target)),
 			obs.F("severity", prop.severity),
+		}
+		if m != nil {
+			// Appended, never reordered: CPU-only resize events keep their
+			// four fields.
+			fields = append(fields,
+				obs.I("ram_from", int64(fromRAM)),
+				obs.I("ram_to", int64(m.ramAlloc)),
+				obs.I("disk_gb", int64(m.diskAlloc)),
+				obs.I("replicas", int64(m.replicas)),
+			)
+		}
+		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
+	}
+}
+
+// aborted books an enactment lost before any pod changed (restart-fail)
+// or rolled back mid-apply (infeasible).
+func (s *runState) aborted(t *tenant, from int, reason string, now int) {
+	t.res.ResizesAborted++
+	if s.events {
+		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
+			obs.S("tenant", t.spec.Name),
+			obs.I("from", int64(from)),
+			obs.I("to", int64(t.prop.target)),
+			obs.S("reason", reason),
 		}})
 	}
 }

@@ -3,38 +3,30 @@ package fleet
 // multi.go holds the multi-resource tenant loop: RAM scaled by the
 // dual-threshold MemoryPolicy, disk grown off its high-water mark, and —
 // for stateless tiers — horizontal overflow once the vertical CPU
-// ceiling pins. CPU-only tenants never allocate a multiState and run the
-// exact pre-vector code paths in fleet.go; everything here engages only
-// when TenantSpec.Resources manages a non-CPU dimension. The determinism
+// ceiling pins. Everything here engages only when TenantSpec.Resources
+// manages a non-CPU dimension; CPU-only tenants never allocate a
+// multiState and keep their own per-minute loop in fleet.go. Decisions
+// and phase 2 are shared: decide hands the clamped CPU target to
+// decideMulti, and infeasible/enact read t.mr != nil. The determinism
 // contract is unchanged: phase 1 (observeMultiSegment) writes only
-// tenant-local state, phase 2 (enactMulti) runs sequentially.
+// tenant-local state, phase 2 runs sequentially.
 
 import (
 	"fmt"
 	"time"
 
 	"caasper/internal/billing"
-	"caasper/internal/core"
 	"caasper/internal/errs"
 	"caasper/internal/k8s"
-	"caasper/internal/obs"
 	"caasper/internal/recommend"
+	"caasper/internal/trace"
 	"caasper/internal/workload"
 )
 
-// horizontalHeadroom is the fraction of the replica set's total vertical
-// ceiling kept free before overflow adds a replica (and, symmetrically,
-// the margin a smaller set must absorb the peak under before scale-in).
-const horizontalHeadroom = 0.25
-
 // multiState is the per-tenant multi-resource runtime state, owned by
 // exactly one tenant and touched from its phase-1 goroutine plus the
-// sequential phase 2.
+// sequential phase 2. Bounds and policies are read off t.spec.
 type multiState struct {
-	rr   core.ResourceRange
-	mem  recommend.MemoryPolicy
-	disk recommend.DiskPolicy
-
 	// ram / dsk are the per-minute per-pod demand/usage series in GB
 	// (nil when the dimension is unmanaged).
 	ram, dsk []float64
@@ -44,8 +36,8 @@ type multiState struct {
 	ramAlloc, diskAlloc, replicas int
 
 	// seeding is the minute the newest replica finishes seeding (−1:
-	// none in flight); seedMin is the spec's seeding delay.
-	seeding, seedMin int
+	// none in flight).
+	seeding int
 
 	// Decision-window accumulators, reset at each decision.
 	ramPeak      float64 // peak per-pod RAM demand (GB)
@@ -57,72 +49,56 @@ type multiState struct {
 	ramMeter, diskMeter billing.Meter
 }
 
-// initMulti builds the tenant's multi-resource state: demand traces
-// (derived deterministically from the CPU trace when absent), initial
-// grants from the resolved range, and per-dimension meters.
-func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, opts Options) error {
-	m := &multiState{
-		rr:       rr,
-		mem:      t.spec.Mem,
-		disk:     t.spec.Disk,
-		replicas: replicas,
-		seeding:  -1,
-		seedMin:  t.spec.SeedMinutes,
-	}
-	period := opts.BillingPeriod
-	if period == 0 {
-		period = time.Hour
-	}
+// initMulti builds the tenant's multi-resource state from its resolved
+// spec: demand traces (derived deterministically from the CPU trace when
+// absent), initial grants, and per-dimension meters over the run's
+// billing period.
+func (t *tenant) initMulti(replicas, minutes int, period time.Duration, opts Options) error {
+	rr := t.spec.Resources
+	m := &multiState{replicas: replicas, seeding: -1}
 	rates := billing.DefaultRates()
-
+	var err error
 	if rr.Max.RAMGB > 0 {
 		tr := t.spec.RAMTrace
 		if tr == nil {
 			tr = workload.DeriveRAM(t.spec.Trace, 1, 0.5)
 		}
-		if tr.Interval != time.Minute {
-			return fmt.Errorf("RAM trace interval %s is not 1m (resample first): %w", tr.Interval, errs.ErrInvalidConfig)
-		}
-		if len(tr.Values) < minutes {
-			return fmt.Errorf("RAM trace covers %d of %d minutes: %w", len(tr.Values), minutes, errs.ErrInvalidConfig)
-		}
-		m.ram = tr.Values
-		m.ramAlloc = rr.Initial.RAMGB
-		price := opts.RAMPricePerGBPeriod
-		if price == 0 {
-			price = rates.RAMGBPeriod
-		}
-		mm, err := billing.NewMeter(price, period, time.Minute)
-		if err != nil {
+		if m.ram, m.ramMeter, err = dimension("RAM", tr, minutes, opts.RAMPricePerGBPeriod, rates.RAMGBPeriod, period); err != nil {
 			return err
 		}
-		m.ramMeter = *mm
+		m.ramAlloc = rr.Initial.RAMGB
 	}
 	if rr.Max.DiskGB > 0 {
 		tr := t.spec.DiskTrace
 		if tr == nil {
 			tr = workload.DeriveDisk(t.spec.Trace, float64(rr.Initial.DiskGB)*0.5, 0.5)
 		}
-		if tr.Interval != time.Minute {
-			return fmt.Errorf("disk trace interval %s is not 1m (resample first): %w", tr.Interval, errs.ErrInvalidConfig)
-		}
-		if len(tr.Values) < minutes {
-			return fmt.Errorf("disk trace covers %d of %d minutes: %w", len(tr.Values), minutes, errs.ErrInvalidConfig)
-		}
-		m.dsk = tr.Values
-		m.diskAlloc = rr.Initial.DiskGB
-		price := opts.DiskPricePerGBPeriod
-		if price == 0 {
-			price = rates.DiskGBPeriod
-		}
-		dm, err := billing.NewMeter(price, period, time.Minute)
-		if err != nil {
+		if m.dsk, m.diskMeter, err = dimension("disk", tr, minutes, opts.DiskPricePerGBPeriod, rates.DiskGBPeriod, period); err != nil {
 			return err
 		}
-		m.diskMeter = *dm
+		m.diskAlloc = rr.Initial.DiskGB
 	}
 	t.mr = m
 	return nil
+}
+
+// dimension checks one non-CPU dimension's per-minute trace against the
+// horizon and builds its meter at price (defPrice when zero).
+func dimension(name string, tr *trace.Trace, minutes int, price, defPrice float64, period time.Duration) ([]float64, billing.Meter, error) {
+	if tr.Interval != time.Minute {
+		return nil, billing.Meter{}, fmt.Errorf("%s trace interval %s is not 1m (resample first): %w", name, tr.Interval, errs.ErrInvalidConfig)
+	}
+	if len(tr.Values) < minutes {
+		return nil, billing.Meter{}, fmt.Errorf("%s trace covers %d of %d minutes: %w", name, len(tr.Values), minutes, errs.ErrInvalidConfig)
+	}
+	if price == 0 {
+		price = defPrice
+	}
+	mm, err := billing.NewMeter(price, period, time.Minute)
+	if err != nil {
+		return nil, billing.Meter{}, err
+	}
+	return tr.Values, *mm, nil
 }
 
 // observeMultiSegment is the multi-resource phase-1 body: the per-minute
@@ -216,50 +192,28 @@ func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
 		}
 	}
 	if decision >= 0 {
-		t.decideMulti(limit)
+		t.decide(limit)
 	}
 }
 
-// decideMulti evaluates every managed dimension at a decision tick and
-// files one vector proposal when any of them wants to move. Replica
-// overflow is vertical-first: a replica is added only when the CPU
-// target is pinned at the per-pod ceiling AND the peak total demand
-// exceeds what the current set can serve with headroom; it is removed
-// only when the target is off the ceiling and the smaller set would
-// still absorb the peak with the same headroom.
-func (t *tenant) decideMulti(limit int) {
-	m := t.mr
-	maxC := m.rr.Max.CPUCores
-	target := t.rec.Recommend(limit)
-	if target < m.rr.Min.CPUCores {
-		target = m.rr.Min.CPUCores
-	}
-	if target > maxC {
-		target = maxC
-	}
-
+// decideMulti finishes decide for a multi-resource tenant: given the
+// clamped CPU target, it evaluates every other managed dimension and
+// files one vector proposal when any of them wants to move. Replicas
+// follow the shared vertical-first rule (recommend.OverflowReplicas) on
+// the segment's peak total CPU demand.
+func (t *tenant) decideMulti(limit, target int) {
+	m, rr := t.mr, t.spec.Resources
 	ram := m.ramAlloc
 	if m.ram != nil {
-		ram = m.mem.Target(m.ramAlloc, m.ramPeak, m.rr.Min.RAMGB, m.rr.Max.RAMGB)
+		ram = t.spec.Mem.Target(m.ramAlloc, m.ramPeak, rr.Min.RAMGB, rr.Max.RAMGB)
 	}
 	disk := m.diskAlloc
 	if m.dsk != nil {
-		disk = m.disk.Target(m.diskAlloc, m.diskHigh, m.rr.Max.DiskGB)
+		disk = t.spec.Disk.Target(m.diskAlloc, m.diskHigh, rr.Max.DiskGB)
 	}
 	reps := m.replicas
 	if t.spec.Stateless {
-		maxR := m.rr.Max.Replicas // 0 = unbounded
-		minR := m.rr.Min.Replicas
-		if minR < 1 {
-			minR = 1
-		}
-		ceiling := float64(maxC*reps) * (1 - horizontalHeadroom)
-		smaller := float64(maxC*(reps-1)) * (1 - horizontalHeadroom)
-		if target >= maxC && m.cpuPeakTotal > ceiling && (maxR == 0 || reps < maxR) {
-			reps++
-		} else if reps > minR && target < maxC && m.cpuPeakTotal <= smaller {
-			reps--
-		}
+		reps = recommend.OverflowReplicas(reps, rr.Min.Replicas, rr.Max.Replicas, target, rr.Max.CPUCores, m.cpuPeakTotal)
 	}
 
 	if target != limit || ram != m.ramAlloc || disk != m.diskAlloc || reps != m.replicas {
@@ -268,7 +222,6 @@ func (t *tenant) decideMulti(limit int) {
 		t.prop = proposal{
 			target:   target,
 			severity: t.severity + m.ramShort,
-			multi:    true,
 			ram:      ram,
 			disk:     disk,
 			reps:     reps,
@@ -276,162 +229,6 @@ func (t *tenant) decideMulti(limit int) {
 		t.hasProp = true
 	}
 	t.severity, m.ramShort, m.ramPeak, m.cpuPeakTotal = 0, 0, 0, 0
-}
-
-// enactMulti applies one granted vector proposal in phase 2: the in-place
-// CPU/RAM resize first (all-or-nothing with rollback, same fault model as
-// the CPU-only enact), then the grow-only volume expansion, then the
-// replica add/remove. A restart-failure fault aborts only the resize —
-// volume growth and replica moves are not pod restarts.
-func (s *runState) enactMulti(t *tenant, now int) {
-	m := t.mr
-	from := t.set.CPULimit()
-	fromRAM := m.ramAlloc
-	fromReps := m.replicas
-	prop := t.prop
-
-	oldMem := t.spec.MemGiBPerPod
-	newMem := t.spec.MemGiBPerPod
-	if m.ram != nil {
-		oldMem = float64(fromRAM)
-		newMem = float64(prop.ram)
-	}
-
-	if prop.target != from || (m.ram != nil && prop.ram != fromRAM) {
-		if t.inj.RestartFails(t.pod, int64(now)) {
-			t.res.ResizesAborted++
-			if s.events {
-				s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
-					obs.S("tenant", t.spec.Name),
-					obs.I("from", int64(from)),
-					obs.I("to", int64(prop.target)),
-					obs.S("reason", "restart-fail"),
-				}})
-			}
-			return
-		}
-		done := s.arb.done[:0]
-		for _, p := range t.set.Pods {
-			if err := s.cluster.ResizeInPlace(p, k8s.NewGuaranteedSpec(prop.target, newMem)); err != nil {
-				for _, q := range done {
-					_ = s.cluster.ResizeInPlace(q, k8s.NewGuaranteedSpec(from, oldMem))
-				}
-				s.arb.done = done[:0]
-				t.res.ResizesAborted++
-				if s.events {
-					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
-						obs.S("tenant", t.spec.Name),
-						obs.I("from", int64(from)),
-						obs.I("to", int64(prop.target)),
-						obs.S("reason", "infeasible"),
-					}})
-				}
-				return
-			}
-			done = append(done, p)
-		}
-		s.arb.done = done[:0]
-		if m.ram != nil {
-			m.ramAlloc = prop.ram
-			t.set.MemGiBPerPod = newMem // future replicas inherit the grant
-		}
-		t.res.NumScalings++
-	}
-
-	if m.dsk != nil && prop.disk > m.diskAlloc {
-		m.diskAlloc = prop.disk // grow-only: enact never shrinks a volume
-	}
-
-	if t.spec.Stateless && prop.reps != fromReps {
-		if prop.reps > fromReps {
-			if _, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now+m.seedMin)); err != nil {
-				// The arbiter checks existing pods' nodes; a fresh replica
-				// competes for cluster-wide capacity and may still lose.
-				t.res.Deferrals++
-				if s.events {
-					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
-						obs.S("tenant", t.spec.Name),
-						obs.S("reason", "scale-out"),
-						obs.I("want_replicas", int64(prop.reps)),
-						obs.F("severity", prop.severity),
-					}})
-				}
-			} else {
-				m.replicas++
-				m.seeding = now + m.seedMin
-				t.res.NumScalings++
-			}
-		} else if _, err := t.set.RemoveReplica(s.cluster); err == nil {
-			m.replicas--
-			t.res.NumScalings++
-		}
-	}
-
-	if s.events {
-		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: []obs.Field{
-			obs.S("tenant", t.spec.Name),
-			obs.I("from", int64(from)),
-			obs.I("to", int64(prop.target)),
-			obs.F("severity", prop.severity),
-			obs.I("ram_from", int64(fromRAM)),
-			obs.I("ram_to", int64(m.ramAlloc)),
-			obs.I("disk_gb", int64(m.diskAlloc)),
-			obs.I("replicas", int64(m.replicas)),
-		}})
-	}
-}
-
-// infeasibleMulti is the multi-dimensional arbiter check: per node, the
-// summed CPU AND RAM resize deltas of the tenant's pods must fit the
-// node's free capacity (CPU under the current scheduling pressure). It
-// returns the first violating node and the shortfall in the violating
-// dimension's native unit, or nil when the grant fits.
-func infeasibleMulti(t *tenant, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
-	m := t.mr
-	podMem := t.spec.MemGiBPerPod
-	if m.ram != nil {
-		podMem = float64(t.prop.ram)
-	}
-	arb.nodes = arb.nodes[:0]
-	arb.need = arb.need[:0]
-	arb.needMem = arb.needMem[:0]
-	for _, p := range t.set.Pods {
-		cpuDelta := float64(t.prop.target) - p.CPULimit()
-		memDelta := podMem - p.Spec.Requests.MemoryGiB
-		if (cpuDelta <= 0 && memDelta <= 0) || p.Node == nil {
-			continue
-		}
-		if cpuDelta < 0 {
-			cpuDelta = 0
-		}
-		if memDelta < 0 {
-			memDelta = 0
-		}
-		found := false
-		for j, n := range arb.nodes {
-			if n == p.Node {
-				arb.need[j] += cpuDelta
-				arb.needMem[j] += memDelta
-				found = true
-				break
-			}
-		}
-		if !found {
-			arb.nodes = append(arb.nodes, p.Node)
-			arb.need = append(arb.need, cpuDelta)
-			arb.needMem = append(arb.needMem, memDelta)
-		}
-	}
-	for j, n := range arb.nodes {
-		free := n.Free()
-		if avail := free.CPUCores - pressure; arb.need[j] > avail {
-			return n, arb.need[j] - avail
-		}
-		if arb.needMem[j] > free.MemoryGiB {
-			return n, arb.needMem[j] - free.MemoryGiB
-		}
-	}
-	return nil, 0
 }
 
 // finishMulti closes the tenant's multi-resource books in the epilogue.

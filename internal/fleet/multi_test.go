@@ -10,6 +10,7 @@ import (
 	"caasper/internal/errs"
 	"caasper/internal/faults"
 	"caasper/internal/hooks"
+	"caasper/internal/k8s"
 	"caasper/internal/obs"
 	"caasper/internal/recommend"
 	"caasper/internal/trace"
@@ -293,5 +294,34 @@ func TestCPUOnlyStreamUnchangedByMultiTenantPresence(t *testing.T) {
 	}
 	if alone != mixed {
 		t.Fatalf("CPU-only tenant stream changed when a multi tenant joined:\n%s\nvs\n%s", alone, mixed)
+	}
+}
+
+// TestMultiArbiterDefersRAMShortfall pins the RAM half of the arbiter
+// check: a RAM scale-up whose delta does not fit its node's free memory
+// is deferred even though the CPU dimension has room, so the grant stays
+// put and no pod is resized.
+func TestMultiArbiterDefersRAMShortfall(t *testing.T) {
+	const minutes = 120
+	cluster, err := k8s.NewCluster(k8s.NewNode("n0", 16, 6)) // 4 GB granted, 2 GB free
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Minutes = minutes
+	opts.Cluster = cluster
+	res, err := Run([]TenantSpec{multiSpec("m0", minutes)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Tenants[0]
+	if tr.Deferrals == 0 {
+		t.Fatalf("RAM growth past the node's free memory should be deferred: %+v", tr)
+	}
+	if tr.FinalRAMGB != 4 || tr.ResizesAborted != 0 {
+		t.Fatalf("the arbiter, not a rolled-back resize, should hold RAM at 4 GB: %+v", tr)
+	}
+	if tr.OOMMinutes == 0 {
+		t.Fatalf("a tenant stuck at 4 GB under 7 GB demand should OOM: %+v", tr)
 	}
 }

@@ -156,3 +156,32 @@ func (p DiskPolicy) Target(allocGB int, usedGB float64, maxGB int) int {
 	}
 	return need
 }
+
+// horizontalHeadroom is the fraction of a replica set's total vertical
+// CPU ceiling kept free: overflow adds a replica once the peak runs
+// hotter than the rest, and a smaller set must absorb the peak under the
+// same margin before a replica is removed.
+const horizontalHeadroom = 0.25
+
+// OverflowReplicas is the vertical-first horizontal overflow rule for
+// stateless tiers, shared by the fleet controller and the recommender
+// service. A replica is added only when the clamped CPU target is pinned
+// at the per-pod ceiling maxCores AND the peak total CPU demand across
+// the set exceeds its ceiling with headroom, capped at maxReps (0 =
+// unbounded). A replica is removed only when the target is off the
+// ceiling and reps−1 pods would still absorb the peak with the same
+// headroom, never below minReps (at least 1).
+func OverflowReplicas(reps, minReps, maxReps, target, maxCores int, peakTotal float64) int {
+	if minReps < 1 {
+		minReps = 1
+	}
+	ceiling := float64(maxCores*reps) * (1 - horizontalHeadroom)
+	smaller := float64(maxCores*(reps-1)) * (1 - horizontalHeadroom)
+	switch {
+	case target >= maxCores && peakTotal > ceiling && (maxReps == 0 || reps < maxReps):
+		return reps + 1
+	case reps > minReps && target < maxCores && peakTotal <= smaller:
+		return reps - 1
+	}
+	return reps
+}

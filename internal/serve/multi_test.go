@@ -275,3 +275,49 @@ func TestSnapshotMultiRoundTrip(t *testing.T) {
 		t.Fatalf("multi status diverged after restart: %+v vs %+v", want, got)
 	}
 }
+
+// TestServeScaleInNeedsCapacity pins the scale-in half of the shared
+// vertical-first rule: once an overflowed tenant's CPU target drops below
+// max_cores, a replica is removed only if one fewer pod could absorb the
+// set's peak total under the 25% headroom. Here two pods each report 1.6
+// cores (3.2 in total), more than one 4-core pod's 3-core budget, so the
+// set must hold at 2 replicas instead of flapping back to 1.
+func TestServeScaleInNeedsCapacity(t *testing.T) {
+	_, ts := testServer(t, Options{DecisionEveryMinutes: 10})
+	register(t, ts.URL, "h", `{"policy":"caasper","max_cores":4,"window":10,"max_replicas":3}`)
+
+	post := func(cpu float64, n int) {
+		t.Helper()
+		samples := make([]float64, n)
+		ram := make([]float64, n)
+		disk := make([]float64, n)
+		for i := range samples {
+			samples[i] = cpu
+		}
+		postMultiSamples(t, ts.URL, "h", samples, ram, disk)
+	}
+	seen := 0
+	for statusRow(t, ts.URL, "h").Replicas < 2 {
+		if seen >= 200 {
+			t.Fatalf("hot tenant never overflowed to 2 replicas: %+v", statusRow(t, ts.URL, "h"))
+		}
+		post(3.9, 10)
+		seen += 10
+		waitSamples(t, ts.URL, "h", seen)
+	}
+	if st := statusRow(t, ts.URL, "h"); st.Replicas != 2 || st.Cores != 4 {
+		t.Fatalf("want 2 replicas pinned at 4 cores, got %+v", st)
+	}
+
+	for i := 0; i < 6; i++ {
+		post(1.6, 10)
+		seen += 10
+		waitSamples(t, ts.URL, "h", seen)
+		if st := statusRow(t, ts.URL, "h"); st.Replicas != 2 {
+			t.Fatalf("replicas = %d after per-pod 1.6 cores (total 3.2 > one pod's 3): want 2 held; status %+v", st.Replicas, st)
+		}
+	}
+	if st := statusRow(t, ts.URL, "h"); st.Cores >= 4 {
+		t.Fatalf("CPU target should have fallen below max_cores 4 for the scenario to bite: %+v", st)
+	}
+}

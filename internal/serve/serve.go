@@ -124,7 +124,8 @@ type TenantConfig struct {
 	MaxDiskGB int `json:"max_disk_gb,omitempty"`
 	// MaxReplicas enables horizontal overflow for stateless tiers: a
 	// replica is recommended when the CPU target pins at MaxCores under
-	// high observed usage (0 = vertical only).
+	// high observed usage, and dropped only when one fewer pod would
+	// still absorb the peak (0 = vertical only).
 	MaxReplicas int `json:"max_replicas,omitempty"`
 }
 
@@ -435,16 +436,13 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 	}
 }
 
-// horizontalHeadroom mirrors fleet's overflow threshold: a replica is
-// recommended only when the tier runs hotter than 75% of its pinned
-// vertical ceiling.
-const horizontalHeadroom = 0.25
-
 // decideMulti moves the tenant's non-CPU dimensions at a decision tick:
 // RAM under the dual-threshold policy, disk grow-only, and — for tenants
-// with a replica budget — vertical-first horizontal overflow once the
-// CPU target pins at MaxCores. Caller holds the tenant lock; rec is the
-// in-flight decision record the moves are appended to.
+// with a replica budget — the vertical-first overflow rule the fleet
+// controller uses (recommend.OverflowReplicas): add a replica once the
+// CPU target pins at MaxCores under hot usage, drop one only when the
+// smaller set still absorbs the peak. Caller holds the tenant lock; rec
+// is the in-flight decision record the moves are appended to.
 func (s *Server) decideMulti(t *tenantState, rec *DecisionRecord, target int) {
 	if t.cfg.MaxRAMGB > 0 {
 		ramTo := recommend.MemoryPolicy{}.Target(t.ramGB, t.ramPeak, t.cfg.MinRAMGB, t.cfg.MaxRAMGB)
@@ -460,14 +458,12 @@ func (s *Server) decideMulti(t *tenantState, rec *DecisionRecord, target int) {
 		}
 	}
 	if t.cfg.MaxReplicas > 0 {
-		hot := float64(t.cfg.MaxCores) * (1 - horizontalHeadroom)
-		switch {
-		case target >= t.cfg.MaxCores && t.cpuPeak > hot && t.replicas < t.cfg.MaxReplicas:
-			t.replicas++
-			rec.Replicas = t.replicas
-		case t.replicas > 1 && target < t.cfg.MaxCores:
-			t.replicas--
-			rec.Replicas = t.replicas
+		// Samples are per pod, so the set's peak total is cpuPeak ×
+		// replicas; the rule itself is the fleet's.
+		peakTotal := t.cpuPeak * float64(t.replicas)
+		if reps := recommend.OverflowReplicas(t.replicas, 1, t.cfg.MaxReplicas, target, t.cfg.MaxCores, peakTotal); reps != t.replicas {
+			t.replicas = reps
+			rec.Replicas = reps
 		}
 	}
 	t.ramPeak, t.diskHigh, t.cpuPeak = 0, 0, 0

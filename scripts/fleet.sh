@@ -55,32 +55,50 @@ echo "==> sharding auto/off byte-identical at workers 1/4/8"
 
 # Multi-resource determinism: the same contract for the resource-vector
 # path (RAM + disk + horizontal overflow, mem-pressure faults). The
-# events engine rejects multi tenants, so this leg runs stepped only.
+# events engine rejects multi tenants, so these legs run stepped only.
+# The "overflow" leg caps every tenant at 4 cores so the CPU target pins
+# and the vertical-first replica rule actually fires: it scales out,
+# scales back in and loses scale-outs to the cluster ("reason":
+# "scale-out" deferrals). Each leg's stdout summary — which carries the
+# RAM/disk bills (ram$, disk$) the events omit — is pinned too.
 MFAULTS="mem-pressure:p=0.3:gb=3,metrics-gap:p=0.1"
-for W in 1 4 8; do
-    echo "==> fleet multi-resource run (8 tenants, 240 min, small cluster, workers $W, -race)"
-    go run -race ./cmd/caasper-fleet -tenants 8 -minutes 240 -cluster small \
-        -engine stepped -workers "$W" -resources "ram=4-16,disk=5-40,replicas=1-3" \
-        -faults "$MFAULTS" -fault-seed 7 \
-        -events "$OUT/fleet-multi-w$W.ndjson" >/dev/null
-    grep -E '"type":"(fleet|fault)\.' "$OUT/fleet-multi-w$W.ndjson" > "$OUT/fleet-multi-w$W.events.ndjson"
+for LEG in multi overflow; do
+    MAXFLAG=""
+    if [ "$LEG" = "overflow" ]; then
+        MAXFLAG="-max 4"
+    fi
+    for W in 1 4 8; do
+        echo "==> fleet multi-resource run ($LEG, 8 tenants, 240 min, small cluster, workers $W, -race)"
+        # shellcheck disable=SC2086 # MAXFLAG is deliberately word-split
+        go run -race ./cmd/caasper-fleet -tenants 8 -minutes 240 -cluster small \
+            -engine stepped -workers "$W" -resources "ram=4-16,disk=5-40,replicas=1-3" $MAXFLAG \
+            -faults "$MFAULTS" -fault-seed 7 \
+            -events "$OUT/fleet-$LEG-w$W.ndjson" > "$OUT/fleet-$LEG-w$W.summary.txt"
+        grep -E '"type":"(fleet|fault)\.' "$OUT/fleet-$LEG-w$W.ndjson" > "$OUT/fleet-$LEG-w$W.events.ndjson"
+    done
+    for W in 1 4 8; do
+        cmp "$OUT/fleet-$LEG-w1.events.ndjson" "$OUT/fleet-$LEG-w$W.events.ndjson"
+        cmp "$OUT/fleet-$LEG-w1.summary.txt" "$OUT/fleet-$LEG-w$W.summary.txt"
+    done
+    echo "==> multi-resource $LEG stream and summary byte-identical at workers 1/4/8"
 done
-MREF="$OUT/fleet-multi-w1.events.ndjson"
-for W in 1 4 8; do
-    cmp "$MREF" "$OUT/fleet-multi-w$W.events.ndjson"
-done
-echo "==> multi-resource stream byte-identical at workers 1/4/8"
 
 GOLD=testdata/fleet
 if [ "${UPDATE:-0}" = "1" ]; then
     mkdir -p "$GOLD"
     cp "$REF" "$GOLD/fleet-chaos.golden.ndjson"
-    cp "$MREF" "$GOLD/fleet-multi.golden.ndjson"
-    wc -l "$GOLD"/*.golden.ndjson
+    cp "$OUT/fleet-multi-w1.events.ndjson" "$GOLD/fleet-multi.golden.ndjson"
+    cp "$OUT/fleet-multi-w1.summary.txt" "$GOLD/fleet-multi.summary.golden.txt"
+    cp "$OUT/fleet-overflow-w1.events.ndjson" "$GOLD/fleet-overflow.golden.ndjson"
+    cp "$OUT/fleet-overflow-w1.summary.txt" "$GOLD/fleet-overflow.summary.golden.txt"
+    wc -l "$GOLD"/*.golden.*
     echo "==> goldens regenerated in $GOLD/"
     exit 0
 fi
 
 diff -u "$GOLD/fleet-chaos.golden.ndjson" "$REF"
-diff -u "$GOLD/fleet-multi.golden.ndjson" "$MREF"
-echo "==> OK: fleet event streams byte-identical to goldens under both engines at every worker count"
+for LEG in multi overflow; do
+    diff -u "$GOLD/fleet-$LEG.golden.ndjson" "$OUT/fleet-$LEG-w1.events.ndjson"
+    diff -u "$GOLD/fleet-$LEG.summary.golden.txt" "$OUT/fleet-$LEG-w1.summary.txt"
+done
+echo "==> OK: fleet event streams and multi-resource summaries byte-identical to goldens under both engines at every worker count"

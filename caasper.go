@@ -18,6 +18,10 @@
 //     and an Autopilot-style moving maximum);
 //   - the §5 trace-driven simulator (Simulate) with its K/C/N metrics
 //     and pay-as-you-go billing;
+//   - the resource vector that answers the paper's §8 "other resource
+//     types" item (ResourceRange, MemoryPolicy, DiskPolicy,
+//     BillingRates, SimulateVector): RAM, disk and replicas scale
+//     alongside the CPU decision;
 //   - the parameter-tuning harness (RandomSearch, ParetoFrontier,
 //     BestForAlpha) for mapping customer cost/performance preferences to
 //     algorithm parameters;
@@ -206,29 +210,6 @@ func NewEnsemble(mode EnsembleMode, members ...Forecaster) Forecaster {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-resource scaling (paper §8 future work)
-
-// UsageSample is one multi-dimensional resource observation
-// (e.g. {"cpu": 3.2, "mem_gib": 18}).
-type UsageSample = pvp.UsageSample
-
-// ResourceLadder bounds one scalable dimension.
-type ResourceLadder = core.ResourceLadder
-
-// MultiResourceConfig configures independent per-dimension decisions.
-type MultiResourceConfig = core.MultiResourceConfig
-
-// MultiResourceDecision carries per-dimension targets and explanations.
-type MultiResourceDecision = core.MultiResourceDecision
-
-// NewMultiResource builds the multi-dimensional recommender: one
-// Algorithm 1 evaluation per resource dimension (CPU, memory, ...) over
-// its marginal usage distribution.
-func NewMultiResource(cfg MultiResourceConfig) (*core.MultiResourceRecommender, error) {
-	return core.NewMultiResource(cfg)
-}
-
-// ---------------------------------------------------------------------------
 // Resource vectors
 //
 // The resource-vector API generalises the CPU-only bounds to
@@ -274,12 +255,6 @@ type BillingRates = billing.Rates
 // DefaultBillingRates returns the running price weights (CPU 1.0 per
 // core-period, RAM 0.25 per GB-period, disk 0.02 per GB-period).
 var DefaultBillingRates = billing.DefaultRates
-
-// VectorMeter meters a multi-resource allocation into one bill.
-type VectorMeter = billing.VectorMeter
-
-// NewVectorMeter builds a VectorMeter over the given rates and periods.
-var NewVectorMeter = billing.NewVectorMeter
 
 // DeriveRAMTrace / DeriveDiskTrace synthesize RAM-usage and disk-usage
 // series from a CPU demand trace — the stand-ins the simulator uses when

@@ -3,8 +3,9 @@
 //  1. In-place pod resize — resizes with no restarts, no dropped
 //     connections, no failovers (§2.2 fn.4, §6.2 fn.10).
 //
-//  2. Multi-resource scaling — independent CaaSPER decisions per resource
-//     dimension (CPU and memory) over a multi-dimensional usage stream.
+//  2. Multi-resource scaling — the resource vector: CaaSPER scales CPU
+//     while the dual-threshold memory policy right-sizes RAM in the same
+//     run.
 //
 //  3. Forecast-confidence prefilter and ensemble forecasting for the
 //     proactive mode (§4.3).
@@ -58,31 +59,33 @@ func inPlaceDemo() {
 }
 
 func multiResourceDemo() {
-	fmt.Println("── 2. multi-resource scaling (CPU + memory) ──────────────────")
-	m, err := caasper.NewMultiResource(caasper.MultiResourceConfig{
-		Ladders: map[string]caasper.ResourceLadder{
-			"cpu":     {Min: 2, Max: 16, Step: 1},
-			"mem_gib": {Min: 8, Max: 64, Step: 4},
+	fmt.Println("── 2. multi-resource scaling (CPU + RAM) ─────────────────────")
+	// CPU is pinned at its 4-core cap while RAM idles at 12 of 48 GB.
+	const minutes = 180
+	cpu := make([]float64, minutes)
+	ram := make([]float64, minutes)
+	for i := range cpu {
+		cpu[i], ram[i] = 4, 12
+	}
+	rec, err := caasper.NewReactive(caasper.DefaultConfig(16), 30)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := caasper.DefaultSimOptions(4, 16)
+	opts.Resources = caasper.ResourceRange{
+		Initial: caasper.Resources{CPUCores: 4, RAMGB: 48},
+		Limits: caasper.ResourceLimits{
+			Min: caasper.Resources{CPUCores: 4, RAMGB: 8},
+			Max: caasper.Resources{CPUCores: 16, RAMGB: 64},
 		},
-		Base: caasper.DefaultConfig(16),
-	})
+	}
+	opts.RAMTrace = caasper.NewTrace("ram", time.Minute, ram)
+	res, err := caasper.SimulateVector(caasper.NewTrace("cpu", time.Minute, cpu), rec, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// CPU is throttled at its 4-core cap while memory idles at 12 of 48.
-	samples := make([]caasper.UsageSample, 90)
-	for i := range samples {
-		samples[i] = caasper.UsageSample{"cpu": 4, "mem_gib": 12}
-	}
-	current := map[string]int{"cpu": 4, "mem_gib": 48}
-	d, err := m.Decide(current, samples)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, dim := range []string{"cpu", "mem_gib"} {
-		fmt.Printf("%-8s %2d -> %2d   %s\n", dim, current[dim], d.Targets[dim],
-			d.PerDimension[dim].Explanation)
-	}
+	fmt.Printf("cpu     %2d -> %2d\n", 4, int(res.Limits[len(res.Limits)-1]))
+	fmt.Printf("ram_gb  %2d -> %2d (%d OOM minutes)\n", 48, res.FinalRAMGB, res.OOMMinutes)
 	fmt.Println()
 }
 

@@ -1,7 +1,8 @@
 // Package billing implements the resource-based pay-as-you-go model of the
 // paper's DBaaS offerings (§3.1, §6.1): users are charged for the *peak*
 // CPU limits provisioned within each billing period, rounded up to whole
-// cores, at a fixed price per core-period. Memory is not billed. The
+// cores, at a fixed price per core-period. The paper bills CPU only;
+// Rates extends the price to RAM and disk for the resource vector. The
 // whole-core round-up and peak-based metering are the service invariants
 // (R1) that shape CaaSPER's integral scaling decisions.
 package billing
@@ -141,4 +142,25 @@ func CostRatio(run, baseline *Meter) float64 {
 		return 0
 	}
 	return run.BilledCorePeriods() / b
+}
+
+// Rates prices each scalable dimension per billing period. The CPU rate
+// is the paper's original price-per-core-period; RAM and disk follow the
+// CaaS pattern of cheaper secondary dimensions (Zerops bills RAM at a
+// fraction of a core and disk at a fraction of RAM). A zero rate means
+// "free", which is how CPU-only runs keep their exact cost figures.
+type Rates struct {
+	// CPUCorePeriod is the price of one core held for one period.
+	CPUCorePeriod float64
+	// RAMGBPeriod is the price of one GB of RAM held for one period.
+	RAMGBPeriod float64
+	// DiskGBPeriod is the price of one GB of disk held for one period.
+	DiskGBPeriod float64
+}
+
+// DefaultRates returns the reference price vector used by the simulator
+// and fleet when the caller does not override it: CPU at unit price, RAM
+// at a quarter of a core per GB, disk at a fiftieth.
+func DefaultRates() Rates {
+	return Rates{CPUCorePeriod: 1, RAMGBPeriod: 0.25, DiskGBPeriod: 0.02}
 }

@@ -29,25 +29,12 @@ const (
 // intermediate state to satisfy the paper's interpretability requirement
 // (R6): the slope, skew, raw scaling factor and a prose explanation.
 type Decision struct {
-	// Current is the full allocation vector the decision was made
-	// against. Algorithm 1 itself only populates the CPU dimension; the
-	// multi-resource policies (recommend.MemoryPolicy, DiskPolicy and
-	// the fleet's horizontal overflow) fill the rest.
-	Current Resources
-	// Target is the recommended allocation vector.
-	Target Resources
 	// CurrentCores is the CPU allocation the decision was made against.
-	//
-	// Deprecated: read Current.CPUCores. Kept populated so seed callers
-	// compile and behave identically.
 	CurrentCores int
 	// TargetCores is the recommended CPU allocation (integer,
 	// guardrailed).
-	//
-	// Deprecated: read Target.CPUCores. Kept populated so seed callers
-	// compile and behave identically.
 	TargetCores int
-	// Delta is Target.CPUCores − Current.CPUCores.
+	// Delta is TargetCores − CurrentCores.
 	Delta int
 	// Branch names the Algorithm 1 arm that fired.
 	Branch Branch
@@ -268,12 +255,6 @@ func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 	sc.memoCores = m.Cores
 	sc.memoClean = append(sc.memoClean[:0], m.Window...)
 	sc.memoDec = m.Decision
-	// v1 (pre-vector) snapshots carry only the scalar CPU fields;
-	// backfill the vector so restored memo hits match live decisions.
-	if sc.memoDec.Current.IsZero() && sc.memoDec.Target.IsZero() {
-		sc.memoDec.Current = Resources{CPUCores: m.Decision.CurrentCores}
-		sc.memoDec.Target = Resources{CPUCores: m.Decision.TargetCores}
-	}
 	sc.expKind = expKind(m.ExpKind)
 	sc.expPeak = m.ExpPeak
 }
@@ -468,8 +449,6 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	}
 
 	d.Delta = d.TargetCores - d.CurrentCores
-	d.Current = Resources{CPUCores: d.CurrentCores}
-	d.Target = Resources{CPUCores: d.TargetCores}
 
 	sc.memoDec = d
 	sc.memoValid = true

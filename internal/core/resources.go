@@ -22,9 +22,6 @@ type Resources struct {
 	Replicas int // pods in the set (horizontal overflow, stateless only)
 }
 
-// IsZero reports whether no dimension is set.
-func (r Resources) IsZero() bool { return r == Resources{} }
-
 // String renders the set dimensions as "cpu=4 ram=8 disk=20 replicas=2".
 func (r Resources) String() string {
 	var b strings.Builder
@@ -97,9 +94,10 @@ func clampDim(v, lo, hi int) int {
 	return v
 }
 
-// ResourceRange is the shared "initial + bounds" spelling used by every
-// options struct (SimOptions, HarnessOptions, fleet TenantSpec, serve
-// tenant config).
+// ResourceRange is the shared "initial + bounds" spelling of the
+// simulator, live-harness and fleet options (sim.Options,
+// dbsim.HarnessOptions, fleet.TenantSpec). The serve tenant config keeps
+// flat JSON bounds, checked in serve's TenantConfig.normalize.
 type ResourceRange struct {
 	Initial Resources
 	Limits

@@ -112,24 +112,3 @@ func TestParseResourceSpec(t *testing.T) {
 		}
 	}
 }
-
-func TestDecisionCarriesVector(t *testing.T) {
-	r, err := New(DefaultConfig(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	usage := make([]float64, 60)
-	for i := range usage {
-		usage[i] = 3.9 // hot against 4 cores → scale-up
-	}
-	d, err := r.Decide(4, usage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Current.CPUCores != d.CurrentCores || d.Target.CPUCores != d.TargetCores {
-		t.Fatalf("vector/scalar mismatch: %+v", d)
-	}
-	if d.Current.RAMGB != 0 || d.Target.DiskGB != 0 {
-		t.Fatalf("non-CPU dimensions must stay zero from Algorithm 1: %+v", d)
-	}
-}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"caasper/internal/obs"
 )
 
 // feedHalves posts usage to a server in two halves with an optional
@@ -179,6 +181,123 @@ func TestSnapshotFileShape(t *testing.T) {
 		t.Fatalf("first tenant line = %+v (want sorted, with state)", first)
 	}
 	s.Close()
+}
+
+// TestRestoreAcceptsOlderSnapshotShapes pins snapshot compatibility with
+// older writers. A checkpoint cut just before a memo-hit decision is
+// rewritten into (a) the older v2 writer's shape, whose core.Decision
+// also carried "Current"/"Target" resource vectors beside the CPU
+// scalars, and (b) the v1 shape (version 1 header, no vector keys). Both
+// must restore into a server whose explained decision stream is
+// byte-identical to an uninterrupted control's, and whose first
+// post-restore decision is answered from the restored memo.
+func TestRestoreAcceptsOlderSnapshotShapes(t *testing.T) {
+	usage := rampUsage(60)
+	for i := 0; i < 180; i++ {
+		usage = append(usage, 3)
+	}
+	const cut = 150 // the window is flat and the allocation settled
+	tenants := []struct{ id, cfg string }{
+		{"re", `{"policy":"caasper","max_cores":10,"initial_cores":5}`},
+		{"pro", `{"policy":"caasper-proactive","max_cores":10,"initial_cores":5}`},
+	}
+
+	_, ctl := testServer(t, Options{DecisionEveryMinutes: 10})
+	for _, tn := range tenants {
+		register(t, ctl.URL, tn.id, tn.cfg)
+		postSamples(t, ctl.URL, tn.id, usage)
+		waitSamples(t, ctl.URL, tn.id, len(usage))
+	}
+
+	snap := filepath.Join(t.TempDir(), "serve.snapshot")
+	s1, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := newTestFrontend(t, s1)
+	for _, tn := range tenants {
+		register(t, ts1, tn.id, tn.cfg)
+		postSamples(t, ts1, tn.id, usage[:cut])
+		waitSamples(t, ts1, tn.id, cut)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"Current"`) || strings.Contains(string(raw), `"Target"`) {
+		t.Fatal("snapshot writer emitted resource-vector keys")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		rewrite func(hdr string, tenant map[string]any) string
+	}{
+		{"v2 with vector keys", func(hdr string, tenant map[string]any) string {
+			state := tenant["state"].(map[string]any)
+			memo := state["memo"].(map[string]any)
+			for _, d := range []any{memo["Decision"], state["last_decision"]} {
+				d := d.(map[string]any)
+				d["Current"] = map[string]any{"CPUCores": d["CurrentCores"], "RAMGB": 0, "DiskGB": 0, "Replicas": 0}
+				d["Target"] = map[string]any{"CPUCores": d["TargetCores"], "RAMGB": 0, "DiskGB": 0, "Replicas": 0}
+			}
+			return hdr
+		}},
+		{"v1", func(hdr string, _ map[string]any) string {
+			return strings.Replace(hdr, `"version":2`, `"version":1`, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+			for i := 1; i < len(lines); i++ {
+				dec := json.NewDecoder(strings.NewReader(lines[i]))
+				dec.UseNumber() // re-encode every number with its original digits
+				var tenant map[string]any
+				if err := dec.Decode(&tenant); err != nil {
+					t.Fatal(err)
+				}
+				lines[0] = tc.rewrite(lines[0], tenant)
+				b, err := json.Marshal(tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = string(b)
+			}
+			path := filepath.Join(t.TempDir(), "serve.snapshot")
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			sink := obs.NewMemorySink()
+			s2, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: path, Events: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts2 := newTestFrontend(t, s2)
+			defer s2.Close()
+			for _, tn := range tenants {
+				postSamples(t, ts2, tn.id, usage[cut:])
+				waitSamples(t, ts2, tn.id, len(usage))
+			}
+			first := ""
+			for _, e := range sink.Events() {
+				if e.Type == "core.decision" {
+					first = string(e.AppendNDJSON(nil))
+					break
+				}
+			}
+			if !strings.Contains(first, `"memo":true`) {
+				t.Fatalf("first post-restore decision did not hit the restored memo: %q", first)
+			}
+			for _, tn := range tenants {
+				if want, got := decisionsOf(t, ctl.URL, tn.id), decisionsOf(t, ts2, tn.id); want != got {
+					t.Errorf("tenant %s: decision stream diverged after restore\ncontrol:\n%s\nrestored:\n%s", tn.id, want, got)
+				}
+			}
+		})
+	}
 }
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {

@@ -55,6 +55,17 @@ sh scripts/fleet.sh
 echo "==> serve smoke (server + loadgen + decision-stream golden)"
 sh scripts/serve.sh
 
+# Examples smoke: every runnable program under examples/ must build and
+# exit 0 (output is not pinned; the goldens above pin behaviour).
+echo "==> examples smoke (build + run every examples/* program)"
+EXDIR="$(mktemp -d)"
+trap 'rm -rf "$EXDIR"' EXIT
+for ex in examples/*/; do
+    name="$(basename "$ex")"
+    go build -o "$EXDIR/$name" "./$ex"
+    "$EXDIR/$name" >/dev/null || { echo "==> FAIL: example $name exited non-zero" >&2; exit 1; }
+done
+
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
 go test -run xxx -bench 'BenchmarkRandomSearchParallel' -benchtime 1x -benchmem ./internal/tuning/

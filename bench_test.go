@@ -436,9 +436,21 @@ func benchFleetSpecs(b *testing.B, n, minutes, nodeCount int) ([]caasper.TenantS
 // on nodeCount nodes, reporting tenant_minutes/s.
 func benchFleet(b *testing.B, tenants, minutes, nodeCount int, engine string) {
 	b.Helper()
+	benchFleetFaults(b, tenants, minutes, nodeCount, engine, "")
+}
+
+// benchFleetFaults is benchFleet under a fault spec ("" runs fault-free)
+// with fault seed 1.
+func benchFleetFaults(b *testing.B, tenants, minutes, nodeCount int, engine, faultSpec string) {
+	b.Helper()
+	spec, err := caasper.ParseFaultSpec(faultSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchFleetSpecs(b, tenants, minutes, nodeCount)
 		opts.Engine = engine
+		opts.FaultSpec, opts.FaultSeed = spec, 1
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -452,6 +464,15 @@ func benchFleet(b *testing.B, tenants, minutes, nodeCount int, engine string) {
 // arbitration phase.
 func BenchmarkFleetTick(b *testing.B) {
 	benchFleet(b, 1000, 60, 32, caasper.FleetEngineStepped)
+}
+
+// BenchmarkFleetTickChaos is BenchmarkFleetTick under the fleet golden's
+// fault spec: every tenant-minute makes a metrics-gap draw and every
+// restart completion a restart-fail draw, so the fault layer's per-draw
+// cost sits on the hot path.
+func BenchmarkFleetTickChaos(b *testing.B) {
+	benchFleetFaults(b, 1000, 60, 32, caasper.FleetEngineStepped,
+		"restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
 }
 
 // BenchmarkFleetTickEvents is BenchmarkFleetTick under the discrete-event

@@ -8,7 +8,10 @@
 // worker count, because every draw is keyed on (seed, fault kind, pod,
 // simulated time) rather than on a shared sequential stream. Call order
 // therefore cannot perturb the outcome, which keeps the golden NDJSON
-// event-stream contract of internal/obs intact under chaos.
+// event-stream contract of internal/obs intact under chaos. Each draw is
+// the first Float64 of a fresh math/rand source seeded from its key,
+// computed in closed form: a few multiplies, no PRNG state, no
+// allocation.
 //
 // Five fault kinds are modelled, selected with a small spec grammar
 // (comma-separated faults, colon-separated key=value parameters):
@@ -34,6 +37,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -135,7 +139,8 @@ func ParseSpec(s string) (*Spec, error) {
 			switch key {
 			case "p":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
+				// Written so NaN, which fails every comparison, is rejected.
+				if err != nil || !(p >= 0 && p <= 1) {
 					return nil, fmt.Errorf("faults: %s: p=%q is not a probability in [0,1]", f.Kind, val)
 				}
 				f.P = p
@@ -147,13 +152,13 @@ func ParseSpec(s string) (*Spec, error) {
 				f.Dur = d
 			case "cores":
 				c, err := strconv.ParseFloat(val, 64)
-				if err != nil || c <= 0 {
+				if err != nil || !positive(c) {
 					return nil, fmt.Errorf("faults: %s: cores=%q is not a positive core count", f.Kind, val)
 				}
 				f.Cores = c
 			case "gb":
 				g, err := strconv.ParseFloat(val, 64)
-				if err != nil || g <= 0 {
+				if err != nil || !positive(g) {
 					return nil, fmt.Errorf("faults: %s: gb=%q is not a positive GB count", f.Kind, val)
 				}
 				f.GB = g
@@ -168,6 +173,10 @@ func ParseSpec(s string) (*Spec, error) {
 	}
 	return spec, nil
 }
+
+// positive reports whether x is a finite number above zero: NaN and +Inf,
+// which strconv.ParseFloat accepts, would poison capacity arithmetic.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Empty reports whether the spec injects nothing.
 func (s *Spec) Empty() bool { return s == nil || len(s.faults) == 0 }
@@ -231,12 +240,14 @@ func (c Counts) Any() bool {
 // contract: a nil *Injector is valid and injects nothing, so callers hold
 // one pointer and the fault-free path is a single nil check per hook.
 //
-// Determinism contract (same as PR 2's golden NDJSON test): every draw
-// seeds a fresh stdlib math/rand PRNG from a mix of (seed, kind, pod,
-// simulated time), so a fixed seed yields a byte-identical fault stream
-// at any worker count and in any query order. The injector itself is
-// queried from the single-threaded control loop of one run; concurrent
-// runs each own their injector.
+// Determinism contract (same as the golden NDJSON test of internal/obs):
+// every draw is the first Float64 of a fresh stdlib math/rand source
+// seeded from a mix of (seed, kind, pod, simulated time), computed in
+// closed form (see drawAt), so a fixed seed yields a byte-identical fault
+// stream at any worker count and in any query order. Draws hold no state;
+// the injector's only mutable state is its counts and edge-dedupe
+// windows, so it is queried from the single-threaded control loop of one
+// run and concurrent runs each own their injector.
 type Injector struct {
 	spec *Spec
 	seed uint64
@@ -254,12 +265,6 @@ type Injector struct {
 	// memWindow is the last mem-pressure window whose activation edge
 	// was emitted (-1 before any query).
 	memWindow int64
-	// src/rng are the reusable draw PRNG: re-seeded from the draw key on
-	// every query, so each value still depends only on (seed, kind, pod,
-	// time) — but the catch-up scans of NextGap make thousands of draws
-	// per wake, and reusing one source keeps them allocation-free.
-	src rand.Source
-	rng *rand.Rand
 }
 
 // New builds an injector for the spec. A nil or empty spec returns a nil
@@ -268,18 +273,17 @@ func New(spec *Spec, seed uint64) *Injector {
 	if spec.Empty() {
 		return nil
 	}
-	src := rand.NewSource(0)
-	return &Injector{spec: spec, seed: seed, pressureWindow: -1, memWindow: -1, src: src, rng: rand.New(src)}
+	return &Injector{spec: spec, seed: seed, pressureWindow: -1, memWindow: -1}
 }
 
 // Clone returns an independent silent replayer of the same fault
 // stream: identical spec and seed — so every (kind, pod, time)-keyed
-// draw matches the original's — but its own PRNG scratch (draws re-seed
-// per query, so clones running concurrently stay deterministic), fresh
-// edge-dedupe state, zero counts and no Events/Stats sinks. Callers
-// that shard a run across clones re-derive counts and edge events from
-// one authoritative injector; the clones only need the draw values.
-// Nil-safe: cloning a nil injector returns nil.
+// draw matches the original's — but fresh edge-dedupe state, zero counts
+// and no Events/Stats sinks. Draws are stateless, so clones running
+// concurrently stay deterministic. Callers that shard a run across
+// clones re-derive counts and edge events from one authoritative
+// injector; the clones only need the draw values. Nil-safe: cloning a
+// nil injector returns nil.
 func (in *Injector) Clone() *Injector {
 	if in == nil {
 		return nil
@@ -339,12 +343,19 @@ func (in *Injector) key(k Kind, pod string) uint64 {
 	return h
 }
 
-// drawAt returns a uniform [0,1) value for a key prefix and time. It
-// fully re-seeds the injector's PRNG from the mixed key, so the value
-// depends only on the key, never on how many draws other layers made
-// before this one — the same stream a fresh per-draw PRNG would yield,
-// without the per-draw allocation. The injector is queried from the
-// single-threaded control loop of one run, so the shared PRNG is safe.
+// drawAt returns a uniform [0,1) value for a key prefix and time: the
+// first Float64 of rand.New(rand.NewSource(int64(mix))), where mix is the
+// splitmix64-finalised key. It depends only on the key, never on how many
+// draws came before, and holds no state.
+//
+// The value is computed in closed form instead of by seeding a source.
+// rngSource.Seed runs ~1 840 Lehmer steps x ← 48271·x mod (2³¹−1) to
+// fill a 607-word register, yet the first Uint64 reads only two words,
+// vec[333] + vec[606]; each vec[i] is
+// (x₂₁₊₃ᵢ<<40) ^ (x₂₂₊₃ᵢ<<20) ^ x₂₃₊₃ᵢ ^ rngCooked[i], and
+// xₙ = x₀·48271ⁿ mod (2³¹−1), so six multiply-mods by the precomputed
+// jump multipliers give both words. TestDrawMatchesMathRand pins the
+// equality against the stdlib.
 func (in *Injector) drawAt(h uint64, t int64) float64 {
 	h ^= uint64(t) * 0xFF51_AFD7_ED55_8CCD
 	// splitmix64 finalizer: decorrelate adjacent seconds before the
@@ -352,8 +363,69 @@ func (in *Injector) drawAt(h uint64, t int64) float64 {
 	h ^= h >> 33
 	h *= 0xC4CE_B9FE_1A85_EC53
 	h ^= h >> 33
-	in.src.Seed(int64(h))
-	return in.rng.Float64()
+	return firstFloat64(int64(h))
+}
+
+// Constants of the Go 1 math/rand additive lagged Fibonacci source
+// (math/rand/rng.go) that the first draw after Seed reads.
+const (
+	lehmerMod  = 1<<31 - 1            // int32max: the seeding LCG's modulus
+	lehmerMul  = 48271                // the seeding LCG's multiplier
+	zeroSeed   = 89482311             // Seed's substitute for a seed ≡ 0
+	feedWord   = 333                  // rngLen − rngTap − 1: vec index of the first feed read
+	tapWord    = 606                  // rngLen − 1: vec index of the first tap read
+	cookedFeed = -4633371852008891965 // rngCooked[333]
+	cookedTap  = 4152330101494654406  // rngCooked[606]
+)
+
+// jumpMul[w][j] is 48271^(21+3·i+j) mod (2³¹−1) for i = feedWord (w=0)
+// and tapWord (w=1): Seed discards 20 warm-up steps, then draws three
+// LCG values per register word.
+var jumpMul = func() (m [2][3]uint64) {
+	for w, i := range [2]int{feedWord, tapWord} {
+		for j := range m[w] {
+			n := 21 + 3*i + j
+			p := uint64(1)
+			for b := uint64(lehmerMul); n > 0; n >>= 1 {
+				if n&1 == 1 {
+					p = p * b % lehmerMod
+				}
+				b = b * b % lehmerMod
+			}
+			m[w][j] = p
+		}
+	}
+	return m
+}()
+
+// registerWord is the vec word Seed builds from LCG start x0, given the
+// word's three jump multipliers and its rngCooked constant.
+func registerWord(x0 uint64, m *[3]uint64, cooked int64) uint64 {
+	return (x0*m[0]%lehmerMod)<<40 ^ (x0*m[1]%lehmerMod)<<20 ^ x0*m[2]%lehmerMod ^ uint64(cooked)
+}
+
+// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64() without
+// building the source.
+func firstFloat64(seed int64) float64 {
+	// Reduce the seed exactly as rngSource.Seed does.
+	seed %= lehmerMod
+	if seed < 0 {
+		seed += lehmerMod
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	x0 := uint64(seed)
+	v := (registerWord(x0, &jumpMul[0], cookedFeed) + registerWord(x0, &jumpMul[1], cookedTap)) & (1<<63 - 1)
+	f := float64(v) / (1 << 63)
+	if f == 1 {
+		// Float64 retries when Int63 rounds up to 2⁶³; an exhaustive
+		// scan of all 2³¹−1 reduced seeds found none that does (the
+		// largest first Int63 is 2⁶³ − 4 441 333 495), but the stdlib
+		// path keeps the equality unconditional.
+		return rand.New(rand.NewSource(seed)).Float64()
+	}
+	return f
 }
 
 // draw returns a uniform [0,1) value for the (kind, pod, t) key.
@@ -361,11 +433,11 @@ func (in *Injector) draw(k Kind, pod string, t int64) float64 {
 	return in.drawAt(in.key(k, pod), t)
 }
 
-// emit sends one fault event when the sink is enabled.
+// emit sends one fault event. Callers check obs.Enabled(in.Events)
+// first: the fields slice escapes to the sink, so building it only when
+// the sink listens keeps a silent injector's hooks allocation-free.
 func (in *Injector) emit(t int64, typ string, fields ...obs.Field) {
-	if obs.Enabled(in.Events) {
-		in.Events.Emit(obs.Event{T: t, Type: typ, Fields: fields})
-	}
+	in.Events.Emit(obs.Event{T: t, Type: typ, Fields: fields})
 }
 
 // RestartFails reports whether the pod's restart attempt completing at
@@ -381,7 +453,9 @@ func (in *Injector) RestartFails(pod string, now int64) bool {
 	}
 	in.counts.RestartFails++
 	in.Stats.Counter("fault.restart_fails").Inc()
-	in.emit(now, "fault.restart-fail", obs.S("pod", pod))
+	if obs.Enabled(in.Events) {
+		in.emit(now, "fault.restart-fail", obs.S("pod", pod))
+	}
 	return true
 }
 
@@ -397,7 +471,9 @@ func (in *Injector) RestartStuck(pod string, now int64) int64 {
 	}
 	in.counts.RestartStucks++
 	in.Stats.Counter("fault.restart_stucks").Inc()
-	in.emit(now, "fault.restart-stuck", obs.S("pod", pod), obs.I("dur", f.Dur))
+	if obs.Enabled(in.Events) {
+		in.emit(now, "fault.restart-stuck", obs.S("pod", pod), obs.I("dur", f.Dur))
+	}
 	return f.Dur
 }
 
@@ -413,7 +489,9 @@ func (in *Injector) DropSample(pod string, now int64) bool {
 	}
 	in.counts.MetricsGaps++
 	in.Stats.Counter("fault.metrics_gaps").Inc()
-	in.emit(now, "fault.metrics-gap", obs.S("pod", pod))
+	if obs.Enabled(in.Events) {
+		in.emit(now, "fault.metrics-gap", obs.S("pod", pod))
+	}
 	return true
 }
 
@@ -424,7 +502,9 @@ func (in *Injector) DropSample(pod string, now int64) bool {
 // its bulk catch-up path between them, firing DropSample only at the
 // minutes that actually gap. The draws are the same (seed, kind, pod,
 // time)-keyed values DropSample makes, so probe-then-fire is
-// byte-identical to the per-minute loop.
+// byte-identical to the per-minute loop. Each probed minute is one
+// closed-form draw (see drawAt), so a scan costs a few multiplies per
+// minute and allocates nothing.
 func (in *Injector) NextGap(pod string, from, to int64) int64 {
 	if in == nil || from >= to {
 		return -1
@@ -464,8 +544,10 @@ func (in *Injector) PressureCores(now int64) float64 {
 		in.pressureWindow = window
 		in.counts.PressureWindows++
 		in.Stats.Counter("fault.sched_pressure_windows").Inc()
-		in.emit(window*f.Dur, "fault.sched-pressure",
-			obs.F("cores", f.Cores), obs.I("until", (window+1)*f.Dur))
+		if obs.Enabled(in.Events) {
+			in.emit(window*f.Dur, "fault.sched-pressure",
+				obs.F("cores", f.Cores), obs.I("until", (window+1)*f.Dur))
+		}
 	}
 	return f.Cores
 }
@@ -493,8 +575,10 @@ func (in *Injector) MemPressureGB(pod string, now int64) float64 {
 		in.memWindow = window
 		in.counts.MemPressureWindows++
 		in.Stats.Counter("fault.mem_pressure_windows").Inc()
-		in.emit(window*f.Dur, "fault.mem-pressure",
-			obs.S("pod", pod), obs.F("gb", f.GB), obs.I("until", (window+1)*f.Dur))
+		if obs.Enabled(in.Events) {
+			in.emit(window*f.Dur, "fault.mem-pressure",
+				obs.S("pod", pod), obs.F("gb", f.GB), obs.I("until", (window+1)*f.Dur))
+		}
 	}
 	return f.GB
 }

@@ -51,6 +51,31 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsNonFinite pins that the float parameters refuse
+// the NaN and infinity spellings strconv.ParseFloat accepts: p=NaN would
+// inject on every draw (no draw is >= NaN), and a non-finite cores or gb
+// would poison capacity arithmetic.
+func TestParseSpecRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"metrics-gap:p=NaN", "not a probability"},
+		{"metrics-gap:p=nan", "not a probability"},
+		{"restart-fail:p=Inf", "not a probability"},
+		{"restart-fail:p=-Inf", "not a probability"},
+		{"sched-pressure:cores=NaN", "not a positive core count"},
+		{"sched-pressure:cores=Inf", "not a positive core count"},
+		{"sched-pressure:cores=+Inf", "not a positive core count"},
+		{"sched-pressure:cores=-Inf", "not a positive core count"},
+		{"mem-pressure:gb=NaN", "not a positive GB count"},
+		{"mem-pressure:gb=Infinity", "not a positive GB count"},
+		{"mem-pressure:gb=-inf", "not a positive GB count"},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSpec(%q) = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 func TestSpecStringRoundTrips(t *testing.T) {
 	spec, err := ParseSpec("sched-pressure:cores=4,restart-fail:p=0.25")
 	if err != nil {

@@ -27,8 +27,9 @@
 //     tick until its demand next changes, so it sleeps until the first
 //     decision tick at or after its trace's next inflection point.
 //
-// Fault draws are (seed, kind, pod, time)-keyed and stateless, so skipped
-// minutes draw identically when caught up later: metrics-gap minutes are
+// Fault draws are (seed, kind, pod, time)-keyed and stateless — each is
+// computed in closed form from its key alone — so skipped minutes draw
+// identically when caught up later: metrics-gap minutes are
 // pre-scheduled with a pure probe (faults.Injector.NextGap) so gap-heavy
 // tenants keep the bulk catch-up path between the minutes that actually
 // drop, and the fleet-level scheduling pressure advances one poll per

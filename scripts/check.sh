@@ -31,6 +31,12 @@ echo "==> chaos determinism (fault injection under -race)"
 go test -race -run 'Chaos|Fault|Operator|ScalerCursor|ScalerCarries|ScalerHolds|ScalerRecovers' \
     ./internal/faults/ ./internal/k8s/ ./internal/sim/
 
+# Fault-spec grammar fuzz: no input panics ParseSpec, and every accepted
+# spec round-trips through its canonical String form (seed corpus in
+# internal/faults/testdata/fuzz/).
+echo "==> fuzz ParseSpec (10s)"
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults/
+
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
 echo "==> apicheck (exported API vs testdata/api.txt)"
@@ -67,7 +73,7 @@ for ex in examples/*/; do
 done
 
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
-go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
+go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkFleetTickChaos' -benchtime 1x -benchmem .
 go test -run xxx -bench 'BenchmarkRandomSearchParallel' -benchtime 1x -benchmem ./internal/tuning/
 go test -run xxx -bench 'BenchmarkRunMatrixParallel' -benchtime 1x -benchmem ./internal/sim/
 

@@ -15,6 +15,8 @@ package caasper_test
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -23,6 +25,7 @@ import (
 	"time"
 
 	"caasper"
+	"caasper/internal/core"
 	"caasper/internal/experiments"
 	"caasper/internal/k8s"
 )
@@ -252,6 +255,59 @@ func BenchmarkDecide(b *testing.B) {
 		if _, err := caasper.Decide(cfg, 8, usage); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecideScratch times the decision loop's own path: rolling
+// windows streamed at a 10-sample cadence through one core.Scratch, the
+// way every recommender adapter decides tick after tick (BenchmarkDecide
+// times the one-shot Decide, which also builds the explanation). The
+// "plateau" row is the fleet-month-plateau tenant's shape: two levels,
+// the upper one capped at the 2-core limit, window 20, DefaultConfig(4);
+// its levels alternate every 15 samples so every window mixes them and
+// misses the memo, as the windows a sleeping fleet wakes for do. The
+// "noisy" row is a noisy trace at window 40 over 32 SKUs.
+func BenchmarkDecideScratch(b *testing.B) {
+	plateau := make([]float64, 30)
+	for i := range plateau {
+		plateau[i] = 0.65
+		if i >= 15 {
+			plateau[i] = 2 // 2.4 cores of demand, capped at the limit
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	noisy := make([]float64, 400)
+	for i := range noisy {
+		noisy[i] = 8 + 5*math.Sin(float64(i)/23) + 2*rng.NormFloat64()
+	}
+	cases := []struct {
+		name            string
+		maxCores, cores int
+		window          int
+		series          []float64
+	}{
+		{"plateau", 4, 2, 20, plateau},
+		{"noisy", 32, 8, 40, noisy},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := core.New(core.DefaultConfig(c.maxCores))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The series repeats; windows wrap around through a doubled copy.
+			series := append(append([]float64(nil), c.series...), c.series...)
+			var sc core.Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := (i * 10) % len(c.series)
+				if _, err := r.DecideScratch(&sc, c.cores, series[start:start+c.window]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sc.MemoHits)/float64(b.N), "memo_hits/op")
+		})
 	}
 }
 

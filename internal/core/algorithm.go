@@ -94,13 +94,15 @@ func appendPreprocessed(dst, usage []float64) []float64 {
 	return dst
 }
 
-// Scratch holds the reusable per-caller evaluation state of Decide: the
-// preprocessed-window buffer, the PvP curve storage, and a memo of the
-// most recent decision. A long-lived caller (the simulator adapters, the
-// k8s control loop) keeps one Scratch per decision stream and passes it to
-// DecideScratch, eliminating the per-decision allocations and skipping the
-// curve rebuild entirely when the decision inputs are unchanged — common
-// while usage sits flat or pinned at the cap between ticks.
+// Scratch holds the reusable per-caller evaluation state of Decide: a
+// memo of the most recent decision (whose key window doubles as the
+// preprocessed-window buffer), the exceed histogram, the quantile's
+// selection copy and the PvP curve storage. A long-lived caller (the
+// simulator adapters, the k8s control loop) keeps one Scratch per
+// decision stream and passes it to DecideScratch, eliminating the
+// per-decision allocations and skipping the curve rebuild entirely when
+// the decision inputs are unchanged — common while usage sits flat or
+// pinned at the cap between ticks.
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use; a Scratch handed to a different Recommender resets itself,
@@ -121,9 +123,25 @@ type Scratch struct {
 	MemoHits, MemoMisses uint64
 
 	owner *Recommender
-	clean []float64
 	curve pvp.Curve
 	exp   []byte
+
+	// counts is the exceed histogram (one slot per
+	// pvp.SKURange.ExceedBucket) the one-pass evaluation fills;
+	// curveCounts is the histogram curve and skew were last built from
+	// (nil: none yet). Its slots sum to the window length, so it alone
+	// keys them: the curve, and with it Skewness's Pow, is rebuilt only
+	// when it changes.
+	counts, curveCounts []int
+	skew                float64
+	// rawSF is Eq. 3's Log at slope sfSlope on the current curve (valid
+	// while sfValid: the curve is unchanged since).
+	sfValid bool
+	sfSlope float64
+	rawSF   float64
+	// sel is the quickselect copy of the clean window the quantile and
+	// the peak are read from.
+	sel []float64
 
 	// expKind/expPeak record which prose template the last full
 	// evaluation would have produced and the one operand (the observed
@@ -307,54 +325,111 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	cfg := r.cfg
 	xc := stats.ClampInt(currentCores, cfg.SKUs.MinCores, cfg.SKUs.MaxCores)
 
-	// Line 2: preprocess CPU into the reusable buffer.
-	clean := appendPreprocessed(sc.clean[:0], usage)
-	sc.clean = clean
-	if len(clean) == 0 {
+	// One pass over the window does line 2's preprocessing, the memo
+	// check and the exceed histogram of line 3. The clean window is
+	// written straight over the memo window, starting at the first sample
+	// that differs from it: identical clean window + allocation ⇒
+	// identical decision, because Algorithm 1 is a pure function of
+	// (window, current cores, config). (Raw equality is stricter than the
+	// multiset equality the algorithm depends on; it trades a few extra
+	// misses for a sort-free hot path.)
+	nu := len(usage)
+	win := sc.memoClean
+	if cap(win) < nu {
+		win = append(make([]float64, 0, nu), win...)
+		sc.memoClean = win
+	}
+	memoN := len(win)
+	win = win[:nu]
+	same := sc.memoValid && xc == sc.memoCores
+	signDiff := false // a prefix zero equal to the memo's but of the other sign
+	counts := sc.histogram(cfg.SKUs.Count() + 1)
+	skus := cfg.SKUs
+
+	// Runs of equal samples reach the histogram once per run: a plateau
+	// window costs a few bucket lookups, not one per sample.
+	n := 0
+	run, rv := 0, 0.0
+	for i := 0; ; i++ {
+		var v float64
+		if i < nu {
+			v = usage[i]
+			// Line 2: drop NaN/±Inf (metric-gap artifacts) and negatives.
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				continue
+			}
+			if !same {
+				win[n] = v
+			} else if n < memoN && v == win[n] {
+				if v == 0 && math.Signbit(v) != math.Signbit(win[n]) {
+					signDiff = true
+				}
+			} else {
+				same = false
+				if signDiff {
+					appendPreprocessed(win[:0], usage[:i])
+				}
+				win[n] = v
+			}
+			n++
+			if run > 0 && v == rv {
+				run++
+				continue
+			}
+		}
+		if run > 0 {
+			counts[skus.ExceedBucket(rv)] += run
+		}
+		if i >= nu {
+			break
+		}
+		run, rv = 1, v
+	}
+	if n == 0 {
 		return Decision{}, ErrNoUsage
 	}
-
-	// Identical raw window + allocation ⇒ identical decision: Algorithm 1
-	// is a pure function of (window, current cores, config), so the PvP
-	// curve rebuild can be skipped outright when the window is unchanged
-	// since the previous tick — common while usage sits flat or pinned at
-	// the cap. (Raw equality is stricter than the multiset equality the
-	// algorithm actually depends on; it trades a few extra misses for a
-	// sort-free hot path.)
-	if sc.memoValid && xc == sc.memoCores && equalFloats(clean, sc.memoClean) {
+	if same && n == memoN {
 		sc.MemoHits++
 		if obs.Enabled(sc.Sink) {
 			sc.emitDecision(sc.memoDec, true)
 		}
 		return sc.memoDec, nil
 	}
+	if same && signDiff {
+		// The clean window is a strict prefix of the memo window up to
+		// the sign of some zeros: rewrite it with the new signs.
+		appendPreprocessed(win[:0], usage)
+	}
 	sc.MemoMisses++
-	// Invalidate before touching memo state: an error return below must
-	// not leave a half-updated memo armed.
-	sc.memoValid = false
-	sc.memoClean = append(sc.memoClean[:0], clean...)
+	clean := win[:n]
+	sc.memoClean = clean
 	sc.memoCores = xc
 
-	// Line 3: build the PvP curve (the refactored SKU recommendation
-	// tool of §4.2, CPU-only), reusing the scratch storage.
-	if err := pvp.BuildCurveInto(&sc.curve, clean, cfg.SKUs); err != nil {
-		return Decision{}, err
+	// Lines 3–6: the PvP curve (the refactored SKU recommendation tool of
+	// §4.2, CPU-only) and its slope skew, from the histogram in O(SKUs).
+	// Both depend on nothing but the histogram, whose slots sum to n.
+	if !equalInts(counts, sc.curveCounts) {
+		pvp.BuildCurveCounts(&sc.curve, counts, n, skus)
+		sc.counts, sc.curveCounts = sc.curveCounts, counts
+		sc.skew = sc.curve.Skew()
+		sc.sfValid = false
 	}
 	curve := &sc.curve
+	skew := sc.skew
 
-	// Lines 4–7: slopes, skew, current slope, scaling factor.
-	skew := curve.Skew()
+	// Line 7: the current slope and the Eq. 3 scaling factor.
 	s := curve.SlopeAt(xc)
-	rawSF := pvp.ScalingFactor(s, skew, cfg.SF)
-
-	// Quickselect in place (clean is partially reordered from here on;
-	// every later read — Max below — is order-independent). Bit-identical
-	// to sorting first and reading the R-7 quantile.
-	q, err := stats.QuantileInPlace(clean, cfg.QuantileP)
-	if err != nil {
-		return Decision{}, err
+	if !sc.sfValid || s != sc.sfSlope {
+		sc.rawSF, sc.sfSlope, sc.sfValid = pvp.ScalingFactor(s, skew, cfg.SF), s, true
 	}
-	peak := stats.Max(clean)
+	rawSF := sc.rawSF
+
+	// The R-7 quantile, quickselected in a copy so the memo window keeps
+	// its order (clean is non-empty, so there is no error). The walk-down
+	// branch reads the peak from the same copy.
+	sel := append(sc.sel[:0], clean...)
+	sc.sel = sel
+	q, _ := stats.QuantileInPlace(sel, cfg.QuantileP)
 
 	d := Decision{
 		CurrentCores: xc,
@@ -395,6 +470,7 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 			// meets the workload at the configured performance target.
 			target := curve.WalkDown(xc, cfg.WalkDownPerfTarget)
 			// Preserve the head-room buffer over the observed peak.
+			peak := stats.Max(sel)
 			buffered := int(math.Ceil(peak / (1 - cfg.SlackHigh)))
 			if target < buffered {
 				target = buffered
@@ -486,9 +562,21 @@ func (e *expBuilder) num(v int) *expBuilder {
 	return e
 }
 
-// equalFloats reports element-wise equality (inputs are NaN-free: both
-// come out of the line 2 preprocessing).
-func equalFloats(a, b []float64) bool {
+// histogram returns the scratch's exceed histogram with k slots, zeroed.
+func (sc *Scratch) histogram(k int) []int {
+	if cap(sc.counts) < k {
+		sc.counts = make([]int, k)
+		return sc.counts
+	}
+	h := sc.counts[:k]
+	for i := range h {
+		h[i] = 0
+	}
+	return h
+}
+
+// equalInts reports element-wise equality.
+func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -14,8 +14,9 @@
 // index). A tenant woken at tick d first catches up analytically — its
 // trace is walked run by run (trace.RunStarts), observation windows are
 // advanced with one bulk ring append per run (recommend.RunObserver),
-// accounting loops run as tight constant-operand sums (preserving the
-// stepped engine's exact float rounding), and billing advances whole
+// accounting sums of a constant operand are evaluated in closed form one
+// binade at a time (stats.AddN, bit-identical to the stepped engine's
+// minute-by-minute float adds), and billing advances whole
 // periods at a time (billing.Meter.RecordN). It then decides exactly as
 // the stepped engine would and computes its next wake-up:
 //
@@ -41,6 +42,7 @@ package fleet
 import (
 	"caasper/internal/faults"
 	"caasper/internal/recommend"
+	"caasper/internal/stats"
 	"caasper/internal/trace"
 )
 
@@ -196,11 +198,11 @@ func (t *tenant) wake(s *runState, d, sevFrom int) {
 //     the only minute whose observed value a gap can change; only a
 //     recommender without the bulk form runs the stepped engine's
 //     per-minute scrape loop verbatim;
-//   - slack/insufficiency accumulate via tight constant-operand loops:
-//     repeated float64 addition has no closed form that reproduces the
-//     same rounding, and bit-equality with the stepped engine is the
-//     contract, so the adds happen one by one — just without the
-//     surrounding per-minute bookkeeping (the accumulator sequences per
+//   - slack/insufficiency/severity take n constant adds at once
+//     (stats.AddN): inside one binade every add of the same operand
+//     rounds by the same representable increment, so the n sequential
+//     adds collapse to one multiply-add per binade crossed, with the
+//     stepped engine's exact rounding (the accumulator sequences per
 //     variable are identical because a run is entirely slack or entirely
 //     short, never both);
 //   - billing advances whole periods at a time (RecordN).
@@ -214,10 +216,6 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 	}
 	limf := float64(t.lim)
 	vs := t.spec.Trace.Values
-	// The accumulators live in locals for the duration of the walk: the
-	// tight loops below are dependent float-add chains, and keeping them
-	// out of memory halves the per-minute cost. The add sequences are
-	// unchanged.
 	sumSlack := t.res.SumSlack
 	sumShort := t.res.SumInsufficient
 	sev := t.severity
@@ -282,22 +280,16 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 		}
 
 		if slack := limf - usage; slack > 0 {
-			for k := 0; k < n; k++ {
-				sumSlack += slack
-			}
+			sumSlack = stats.AddN(sumSlack, slack, n)
 		}
 		if short := demand - limf; short > 0 {
-			for k := 0; k < n; k++ {
-				sumShort += short
-			}
+			sumShort = stats.AddN(sumShort, short, n)
 			t.res.ThrottledMinutes += n
 			lo := now
 			if sevFrom > lo {
 				lo = sevFrom
 			}
-			for k := lo; k < re; k++ {
-				sev += short
-			}
+			sev = stats.AddN(sev, short, re-lo)
 		}
 		t.meter.RecordN(limf, n)
 		t.done = re

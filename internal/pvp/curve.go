@@ -116,31 +116,12 @@ func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
 	if len(usage) == 0 {
 		return errors.New("pvp: empty usage window")
 	}
-	const eps = 0.02 // 2% of capacity: "at the cap" counts as throttled
-	price := r.PricePerCore
-	if price <= 0 {
-		price = 1
-	}
-	k := r.Count()
-	points := c.Points[:0]
-	if cap(points) < k {
-		points = make([]Point, 0, k)
-	}
-
-	// One histogram pass instead of a per-SKU scan: the per-SKU exceed
-	// predicate u > cores·(1−eps) is monotone in cores, so each sample
-	// contributes to a contiguous prefix of the ladder. Bucket every
-	// sample by the LARGEST core count it still exceeds (found by an
-	// estimate plus an exact-predicate fixup, so float rounding at the
-	// boundary cannot diverge from the direct comparison), then a single
-	// suffix sum yields every SKU's exceed count. The resulting counts —
-	// and therefore every Performance value — are bit-identical to the
-	// O(samples × SKUs) scan.
 	// Small ladders (the common case) histogram into a stack array, so
 	// even one-shot BuildCurve calls pay no extra allocation; only ladders
 	// wider than the array fall back to the reusable heap buffer. The
 	// heap slice is stored through its own variable — never through
 	// `buckets` — so the stack array cannot be forced to escape.
+	k := r.Count()
 	var stack [64]int
 	var buckets []int
 	switch {
@@ -156,48 +137,80 @@ func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
 		c.buckets = grown
 		buckets = grown
 	}
-	const factor = 1 - eps
 	for _, u := range usage {
-		// Largest cores in [MinCores-1, MaxCores] with u > cores·factor
-		// (MinCores-1 encodes "exceeds none"). int(u/factor) lands within
-		// one of the truth for finite u; NaN/±Inf hit the clamps and the
-		// exact-predicate loops leave them on the correct side.
-		hi := int(u / factor)
-		if !(hi >= r.MinCores-1) { // also catches NaN conversions
-			hi = r.MinCores - 1
-		}
-		if hi > r.MaxCores {
-			hi = r.MaxCores
-		}
-		for hi < r.MaxCores && u > float64(hi+1)*factor {
-			hi++
-		}
-		for hi >= r.MinCores && !(u > float64(hi)*factor) {
-			hi--
-		}
-		buckets[hi-(r.MinCores-1)]++
+		buckets[r.ExceedBucket(u)]++
 	}
+	BuildCurveCounts(c, buckets, len(usage), r)
+	return nil
+}
 
-	// exceed for the t-th SKU (cores = MinCores+t) = Σ_{j>t} buckets[j].
+// exceedFactor is Eq. 1's capacity tolerance: a sample counts as
+// exceeding an SKU of R cores when u > R·(1−eps), eps = 2%, so "at the
+// cap" counts as throttled.
+const exceedFactor = 1 - 0.02
+
+// ExceedBucket returns the exceed-histogram slot of sample u on ladder r:
+// 1 + the offset of the LARGEST SKU whose capacity u exceeds under Eq. 1's
+// predicate u > cores·(1−eps), or 0 when u exceeds none. The predicate is
+// monotone in cores, so u exceeds exactly the SKUs in slots 1..slot, and a
+// suffix sum over a histogram of slots yields every SKU's exceed count —
+// an O(samples + SKUs) curve build instead of the O(samples × SKUs) scan.
+// The slot comes from an estimate plus an exact-predicate fixup, so float
+// rounding at a boundary cannot diverge from the direct comparison.
+// r must be valid.
+func (r SKURange) ExceedBucket(u float64) int {
+	// int(u/factor) — multiplied by the rounded reciprocal, which is
+	// cheaper than dividing — lands within one of the truth for finite u;
+	// NaN/±Inf hit the clamps. Either way the exact-predicate loops below
+	// settle the slot, so the estimate affects speed only. MinCores-1
+	// encodes "exceeds none".
+	hi := int(u * (1 / exceedFactor))
+	if !(hi >= r.MinCores-1) { // also catches NaN conversions
+		hi = r.MinCores - 1
+	}
+	if hi > r.MaxCores {
+		hi = r.MaxCores
+	}
+	for hi < r.MaxCores && u > float64(hi+1)*exceedFactor {
+		hi++
+	}
+	for hi >= r.MinCores && !(u > float64(hi)*exceedFactor) {
+		hi--
+	}
+	return hi - (r.MinCores - 1)
+}
+
+// BuildCurveCounts rebuilds c from an exceed histogram over n samples:
+// counts has r.Count()+1 slots, counts[j] being the number of samples
+// whose ExceedBucket is j. The SKU in slot t (cores MinCores+t−1) is
+// exceeded by Σ_{j≥t} counts[j] samples, so its Performance is one minus
+// that sum over n — bit-identical to BuildCurveInto on the samples
+// themselves, in O(SKUs). counts is not modified; r must be valid and n
+// positive.
+func BuildCurveCounts(c *Curve, counts []int, n int, r SKURange) {
+	price := r.PricePerCore
+	if price <= 0 {
+		price = 1
+	}
+	k := r.Count()
+	points := c.Points[:0]
+	if cap(points) < k {
+		points = make([]Point, 0, k)
+	}
+	points = points[:k]
 	exceed := 0
 	for t := k; t >= 1; t-- {
-		exceed += buckets[t]
-		// Filled in ladder order below; stash the suffix sum in place.
-		buckets[t] = exceed
-	}
-	for t := 0; t < k; t++ {
-		cores := r.MinCores + t
-		p := float64(buckets[t+1]) / float64(len(usage))
-		points = append(points, Point{
+		exceed += counts[t]
+		cores := r.MinCores + t - 1
+		points[t-1] = Point{
 			Cores:        cores,
-			Performance:  1 - p,
+			Performance:  1 - float64(exceed)/float64(n),
 			MonthlyPrice: float64(cores) * price,
-		})
+		}
 	}
 	c.Points = points
 	c.Range = r
 	c.slopes = appendSlopes(c.slopes[:0], points)
-	return nil
 }
 
 // appendSlopes appends the scaled forward differences of the points'

@@ -4,6 +4,9 @@
 # allocs_op, bytes_op, tenant_minutes_s}), so perf regressions are
 # diffable across commits.
 #
+# The main filter's BenchmarkDecide prefix also captures the
+# BenchmarkDecideScratch/plateau and /noisy decision-loop rows.
+#
 # Two passes: the main filter runs at the default GOMAXPROCS (the "-N"
 # name suffix is stripped — those rows are machine-width-independent),
 # then the core-scaling probe BenchmarkFleetMonth10k repeats at -cpu

@@ -37,6 +37,19 @@ go test -race -run 'Chaos|Fault|Operator|ScalerCursor|ScalerCarries|ScalerHolds|
 echo "==> fuzz ParseSpec (10s)"
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults/
 
+# Decision-kernel oracle fuzz: DecideScratch (memo hits and misses,
+# quantiles p across (0, 1], NaN/±Inf/negative/±0 samples, ladders wider
+# than 64 SKUs) must equal a spec-literal transcription of Algorithm 1
+# bit for bit, up to the sign of a zero quantile (seed corpus in
+# internal/core/testdata/fuzz/).
+echo "==> fuzz DecideOracle (10s)"
+go test -run '^$' -fuzz '^FuzzDecideOracle$' -fuzztime 10s ./internal/core/
+
+# Closed-form catch-up sums: stats.AddN must equal n sequential float64
+# adds bit for bit (seed corpus in internal/stats/testdata/fuzz/).
+echo "==> fuzz AddN (10s)"
+go test -run '^$' -fuzz '^FuzzAddN$' -fuzztime 10s ./internal/stats/
+
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
 echo "==> apicheck (exported API vs testdata/api.txt)"
@@ -72,6 +85,7 @@ for ex in examples/*/; do
     "$EXDIR/$name" >/dev/null || { echo "==> FAIL: example $name exited non-zero" >&2; exit 1; }
 done
 
+# BenchmarkDecide also matches the BenchmarkDecideScratch decision-loop rows.
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkFleetTickChaos' -benchtime 1x -benchmem .
 go test -run xxx -bench 'BenchmarkRandomSearchParallel' -benchtime 1x -benchmem ./internal/tuning/

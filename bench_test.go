@@ -492,12 +492,13 @@ func benchFleetSpecs(b *testing.B, n, minutes, nodeCount int) ([]caasper.TenantS
 // on nodeCount nodes, reporting tenant_minutes/s.
 func benchFleet(b *testing.B, tenants, minutes, nodeCount int, engine string) {
 	b.Helper()
-	benchFleetFaults(b, tenants, minutes, nodeCount, engine, "")
+	benchFleetFaults(b, tenants, minutes, nodeCount, engine, "", false)
 }
 
 // benchFleetFaults is benchFleet under a fault spec ("" runs fault-free)
-// with fault seed 1.
-func benchFleetFaults(b *testing.B, tenants, minutes, nodeCount int, engine, faultSpec string) {
+// with fault seed 1; ndjson attaches the NDJSON event stream, encoding
+// into io.Discard.
+func benchFleetFaults(b *testing.B, tenants, minutes, nodeCount int, engine, faultSpec string, ndjson bool) {
 	b.Helper()
 	spec, err := caasper.ParseFaultSpec(faultSpec)
 	if err != nil {
@@ -507,6 +508,9 @@ func benchFleetFaults(b *testing.B, tenants, minutes, nodeCount int, engine, fau
 		specs, opts := benchFleetSpecs(b, tenants, minutes, nodeCount)
 		opts.Engine = engine
 		opts.FaultSpec, opts.FaultSeed = spec, 1
+		if ndjson {
+			opts.Events = caasper.NewNDJSONSink(io.Discard)
+		}
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -527,9 +531,24 @@ func BenchmarkFleetTick(b *testing.B) {
 // restart completion a restart-fail draw, so the fault layer's per-draw
 // cost sits on the hot path.
 func BenchmarkFleetTickChaos(b *testing.B) {
-	benchFleetFaults(b, 1000, 60, 32, caasper.FleetEngineStepped,
-		"restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
+	benchFleetFaults(b, 1000, 60, 32, caasper.FleetEngineStepped, fleetChaosSpec, false)
 }
+
+// BenchmarkFleetTickChaosNDJSON is BenchmarkFleetTickChaos with the
+// NDJSON event stream attached, encoding into io.Discard: the enabled
+// telemetry path of the fleet and fault layers (fleet.* and fault.*
+// events built in reused field buffers, per-tenant fault buffers replayed
+// at the end). B/op is reported even without -benchmem. The
+// BenchmarkFleetTick filter of scripts/bench.sh and the
+// BenchmarkFleetTickChaos filter of the scripts/check.sh smoke both
+// match it.
+func BenchmarkFleetTickChaosNDJSON(b *testing.B) {
+	b.ReportAllocs()
+	benchFleetFaults(b, 1000, 60, 32, caasper.FleetEngineStepped, fleetChaosSpec, true)
+}
+
+// fleetChaosSpec is the fleet golden's fault spec (scripts/fleet.sh).
+const fleetChaosSpec = "restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4"
 
 // BenchmarkFleetTickEvents is BenchmarkFleetTick under the discrete-event
 // engine. The workday traces are noisy (minute-length constant runs), so

@@ -101,3 +101,46 @@ func BenchmarkNextGap(b *testing.B) {
 		benchGap = in.NextGap("tenant-0042-0", from, from+10)
 	}
 }
+
+// TestKeyCacheMatchesFreshInjector checks the draw-key cache: one
+// injector answering a long random mix of kinds and pods (the cache
+// refolding on every change of either) must answer every query exactly
+// as a fresh injector, whose cache is empty, answers it alone.
+func TestKeyCacheMatchesFreshInjector(t *testing.T) {
+	spec, err := ParseSpec("restart-fail:p=0.5,restart-stuck:p=0.5:dur=30,metrics-gap:p=0.5," +
+		"sched-pressure:p=0.5:dur=7:cores=2,mem-pressure:p=0.5:dur=5:gb=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods := []string{"db-0", "db-1", "", "db-0-replica", "d"}
+	query := func(in *Injector, q int, pod string, now int64) float64 {
+		switch q {
+		case 0:
+			if in.RestartFails(pod, now) {
+				return 1
+			}
+			return 0
+		case 1:
+			return float64(in.RestartStuck(pod, now))
+		case 2:
+			if in.DropSample(pod, now) {
+				return 1
+			}
+			return 0
+		case 3:
+			return float64(in.NextGap(pod, now, now+20))
+		case 4:
+			return in.PressureCores(now)
+		default:
+			return in.MemPressureGB(pod, now)
+		}
+	}
+	rng := randv2.New(randv2.NewPCG(3, 4))
+	in := New(spec, 11)
+	for i := 0; i < 5000; i++ {
+		q, pod, now := rng.IntN(6), pods[rng.IntN(len(pods))], rng.Int64N(1000)
+		if got, want := query(in, q, pod, now), query(New(spec, 11), q, pod, now); got != want {
+			t.Fatalf("query %d (hook %d, pod %q, t=%d) = %v after a cached key, %v fresh", i, q, pod, now, got, want)
+		}
+	}
+}

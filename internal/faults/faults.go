@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -105,9 +104,40 @@ func defaults(k Kind) (Fault, error) {
 	}
 }
 
-// Spec is a parsed fault specification: at most one fault per kind.
+// Spec is a parsed fault specification: at most one fault per kind,
+// stored at the kind's index (kindIndex) so hooks read their parameters
+// without a lookup. An absent kind's slot has an empty Kind.
 type Spec struct {
-	faults map[Kind]Fault
+	faults [numKinds]Fault
+}
+
+// The kind indices of Spec.faults, in name order (so String's sorted
+// rendering is a walk in index order).
+const (
+	iMemPressure = iota
+	iMetricsGap
+	iRestartFail
+	iRestartStuck
+	iSchedPressure
+	numKinds
+)
+
+// kindIndex maps a kind to its index in Spec.faults (−1 if unknown).
+func kindIndex(k Kind) int {
+	switch k {
+	case MemPressure:
+		return iMemPressure
+	case MetricsGap:
+		return iMetricsGap
+	case RestartFail:
+		return iRestartFail
+	case RestartStuck:
+		return iRestartStuck
+	case SchedPressure:
+		return iSchedPressure
+	default:
+		return -1
+	}
 }
 
 // ParseSpec parses the -faults grammar. An empty string yields a nil
@@ -117,7 +147,7 @@ func ParseSpec(s string) (*Spec, error) {
 	if s == "" {
 		return nil, nil
 	}
-	spec := &Spec{faults: map[Kind]Fault{}}
+	spec := &Spec{}
 	for _, clause := range strings.Split(s, ",") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -128,7 +158,7 @@ func ParseSpec(s string) (*Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := spec.faults[f.Kind]; dup {
+		if spec.faults[kindIndex(f.Kind)].Kind != "" {
 			return nil, fmt.Errorf("faults: duplicate fault %q", f.Kind)
 		}
 		for _, kv := range parts[1:] {
@@ -166,9 +196,9 @@ func ParseSpec(s string) (*Spec, error) {
 				return nil, fmt.Errorf("faults: %s: unknown parameter %q", f.Kind, key)
 			}
 		}
-		spec.faults[f.Kind] = f
+		spec.faults[kindIndex(f.Kind)] = f
 	}
-	if len(spec.faults) == 0 {
+	if spec.Empty() {
 		return nil, errors.New("faults: empty spec")
 	}
 	return spec, nil
@@ -179,15 +209,24 @@ func ParseSpec(s string) (*Spec, error) {
 func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Empty reports whether the spec injects nothing.
-func (s *Spec) Empty() bool { return s == nil || len(s.faults) == 0 }
+func (s *Spec) Empty() bool {
+	if s != nil {
+		for i := range s.faults {
+			if s.faults[i].Kind != "" {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // Get returns the fault of the given kind and whether it is present.
 func (s *Spec) Get(k Kind) (Fault, bool) {
-	if s == nil {
+	i := kindIndex(k)
+	if s == nil || i < 0 {
 		return Fault{}, false
 	}
-	f, ok := s.faults[k]
-	return f, ok
+	return s.faults[i], s.faults[i].Kind != ""
 }
 
 // String renders the spec back in grammar form, kinds sorted, so logs
@@ -196,18 +235,15 @@ func (s *Spec) String() string {
 	if s.Empty() {
 		return ""
 	}
-	kinds := make([]string, 0, len(s.faults))
-	for k := range s.faults {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
 	var b strings.Builder
-	for i, k := range kinds {
-		if i > 0 {
+	for _, f := range s.faults {
+		if f.Kind == "" {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		f := s.faults[Kind(k)]
-		fmt.Fprintf(&b, "%s:p=%s", k, strconv.FormatFloat(f.P, 'g', -1, 64))
+		fmt.Fprintf(&b, "%s:p=%s", f.Kind, strconv.FormatFloat(f.P, 'g', -1, 64))
 		if f.Kind == RestartStuck || f.Kind == SchedPressure || f.Kind == MemPressure {
 			fmt.Fprintf(&b, ":dur=%d", f.Dur)
 		}
@@ -244,10 +280,11 @@ func (c Counts) Any() bool {
 // every draw is the first Float64 of a fresh stdlib math/rand source
 // seeded from a mix of (seed, kind, pod, simulated time), computed in
 // closed form (see drawAt), so a fixed seed yields a byte-identical fault
-// stream at any worker count and in any query order. Draws hold no state;
-// the injector's only mutable state is its counts and edge-dedupe
-// windows, so it is queried from the single-threaded control loop of one
-// run and concurrent runs each own their injector.
+// stream at any worker count and in any query order. Draws depend on no
+// state; the injector's mutable state is its counts, edge-dedupe windows,
+// draw-key cache and event field buffer, so it is queried from the
+// single-threaded control loop of one run and concurrent runs each own
+// their injector.
 type Injector struct {
 	spec *Spec
 	seed uint64
@@ -257,6 +294,18 @@ type Injector struct {
 	Events obs.Sink
 	// Stats, when non-nil, receives "fault.*" registry counters.
 	Stats *obs.Registry
+
+	// keyKind, keyPod and keyVal cache the draw-key prefix of the last
+	// (kind, pod) queried. Hooks query one pod over and over (a tenant's
+	// ordinal-0 pod, the pressure hooks' ""), so the cache replaces the
+	// FNV fold over the pod name on almost every draw; the key is the
+	// same, so every draw is too.
+	keyKind int
+	keyPod  string
+	keyVal  uint64
+	// fields is the reused backing array of emitted events' Fields (the
+	// obs.Sink contract lets emitters reuse it once Emit returns).
+	fields []obs.Field
 
 	counts Counts
 	// pressureWindow is the last sched-pressure window whose activation
@@ -273,7 +322,7 @@ func New(spec *Spec, seed uint64) *Injector {
 	if spec.Empty() {
 		return nil
 	}
-	return &Injector{spec: spec, seed: seed, pressureWindow: -1, memWindow: -1}
+	return &Injector{spec: spec, seed: seed, keyKind: -1, pressureWindow: -1, memWindow: -1}
 }
 
 // Clone returns an independent silent replayer of the same fault
@@ -315,31 +364,29 @@ func (in *Injector) Counts() Counts {
 	return in.counts
 }
 
-// kindSalt gives each fault kind an independent draw stream.
-func kindSalt(k Kind) uint64 {
-	switch k {
-	case RestartFail:
-		return 0x9E37_79B9_7F4A_7C15
-	case RestartStuck:
-		return 0xBF58_476D_1CE4_E5B9
-	case MetricsGap:
-		return 0x94D0_49BB_1331_11EB
-	case SchedPressure:
-		return 0xD6E8_FEB8_6659_FD93
-	case MemPressure:
-		return 0xC2B2_AE3D_27D4_EB4F
-	default:
-		return 0xA5A5_A5A5_A5A5_A5A5
-	}
+// kindSalts gives each fault kind an independent draw stream, by kind
+// index.
+var kindSalts = [numKinds]uint64{
+	iRestartFail:   0x9E37_79B9_7F4A_7C15,
+	iRestartStuck:  0xBF58_476D_1CE4_E5B9,
+	iMetricsGap:    0x94D0_49BB_1331_11EB,
+	iSchedPressure: 0xD6E8_FEB8_6659_FD93,
+	iMemPressure:   0xC2B2_AE3D_27D4_EB4F,
 }
 
-// key folds the seed, kind salt and pod name into the time-independent
-// prefix of a draw key, hoisted out of NextGap's per-minute scans.
-func (in *Injector) key(k Kind, pod string) uint64 {
-	h := in.seed ^ kindSalt(k)
+// key returns the draw-key prefix of kind index k and pod: the seed and
+// kind salt with the pod name folded in. The last prefix is cached, so
+// the fold runs only when the (kind, pod) pair changes; NextGap hoists
+// it out of its per-minute scans.
+func (in *Injector) key(k int, pod string) uint64 {
+	if k == in.keyKind && pod == in.keyPod {
+		return in.keyVal
+	}
+	h := in.seed ^ kindSalts[k]
 	for i := 0; i < len(pod); i++ {
 		h = (h ^ uint64(pod[i])) * 0x100000001B3 // FNV-1a fold
 	}
+	in.keyKind, in.keyPod, in.keyVal = k, pod, h
 	return h
 }
 
@@ -428,16 +475,18 @@ func firstFloat64(seed int64) float64 {
 	return f
 }
 
-// draw returns a uniform [0,1) value for the (kind, pod, t) key.
-func (in *Injector) draw(k Kind, pod string, t int64) float64 {
+// draw returns a uniform [0,1) value for the (kind index, pod, t) key.
+func (in *Injector) draw(k int, pod string, t int64) float64 {
 	return in.drawAt(in.key(k, pod), t)
 }
 
-// emit sends one fault event. Callers check obs.Enabled(in.Events)
-// first: the fields slice escapes to the sink, so building it only when
-// the sink listens keeps a silent injector's hooks allocation-free.
-func (in *Injector) emit(t int64, typ string, fields ...obs.Field) {
+// emit sends one fault event whose fields the caller appended to
+// in.fields[:0], and keeps the grown buffer for the next event. Callers
+// check obs.Enabled(in.Events) first, so a silent injector never builds
+// fields; a listening one allocates only while the buffer grows.
+func (in *Injector) emit(t int64, typ string, fields []obs.Field) {
 	in.Events.Emit(obs.Event{T: t, Type: typ, Fields: fields})
+	in.fields = fields[:0]
 }
 
 // RestartFails reports whether the pod's restart attempt completing at
@@ -447,14 +496,14 @@ func (in *Injector) RestartFails(pod string, now int64) bool {
 	if in == nil {
 		return false
 	}
-	f, ok := in.spec.Get(RestartFail)
-	if !ok || in.draw(RestartFail, pod, now) >= f.P {
+	f := &in.spec.faults[iRestartFail]
+	if f.Kind == "" || in.draw(iRestartFail, pod, now) >= f.P {
 		return false
 	}
 	in.counts.RestartFails++
 	in.Stats.Counter("fault.restart_fails").Inc()
 	if obs.Enabled(in.Events) {
-		in.emit(now, "fault.restart-fail", obs.S("pod", pod))
+		in.emit(now, "fault.restart-fail", append(in.fields[:0], obs.S("pod", pod)))
 	}
 	return true
 }
@@ -465,14 +514,14 @@ func (in *Injector) RestartStuck(pod string, now int64) int64 {
 	if in == nil {
 		return 0
 	}
-	f, ok := in.spec.Get(RestartStuck)
-	if !ok || in.draw(RestartStuck, pod, now) >= f.P {
+	f := &in.spec.faults[iRestartStuck]
+	if f.Kind == "" || in.draw(iRestartStuck, pod, now) >= f.P {
 		return 0
 	}
 	in.counts.RestartStucks++
 	in.Stats.Counter("fault.restart_stucks").Inc()
 	if obs.Enabled(in.Events) {
-		in.emit(now, "fault.restart-stuck", obs.S("pod", pod), obs.I("dur", f.Dur))
+		in.emit(now, "fault.restart-stuck", append(in.fields[:0], obs.S("pod", pod), obs.I("dur", f.Dur)))
 	}
 	return f.Dur
 }
@@ -483,37 +532,37 @@ func (in *Injector) DropSample(pod string, now int64) bool {
 	if in == nil {
 		return false
 	}
-	f, ok := in.spec.Get(MetricsGap)
-	if !ok || in.draw(MetricsGap, pod, now) >= f.P {
+	f := &in.spec.faults[iMetricsGap]
+	if f.Kind == "" || in.draw(iMetricsGap, pod, now) >= f.P {
 		return false
 	}
 	in.counts.MetricsGaps++
 	in.Stats.Counter("fault.metrics_gaps").Inc()
 	if obs.Enabled(in.Events) {
-		in.emit(now, "fault.metrics-gap", obs.S("pod", pod))
+		in.emit(now, "fault.metrics-gap", append(in.fields[:0], obs.S("pod", pod)))
 	}
 	return true
 }
 
 // NextGap returns the first time in [from, to) at which DropSample would
 // drop the pod's sample, or −1 when every draw in the span passes. It is
-// a pure probe — no counts, no events, no state — so an engine that
-// batches time can pre-schedule the exact gap minutes of a span and keep
-// its bulk catch-up path between them, firing DropSample only at the
-// minutes that actually gap. The draws are the same (seed, kind, pod,
-// time)-keyed values DropSample makes, so probe-then-fire is
-// byte-identical to the per-minute loop. Each probed minute is one
-// closed-form draw (see drawAt), so a scan costs a few multiplies per
-// minute and allocates nothing.
+// a pure probe — no counts, no events, no state but the draw-key cache —
+// so an engine that batches time can pre-schedule the exact gap minutes
+// of a span and keep its bulk catch-up path between them, firing
+// DropSample only at the minutes that actually gap. The draws are the
+// same (seed, kind, pod, time)-keyed values DropSample makes, so
+// probe-then-fire is byte-identical to the per-minute loop. Each probed
+// minute is one closed-form draw (see drawAt), so a scan costs a few
+// multiplies per minute and allocates nothing.
 func (in *Injector) NextGap(pod string, from, to int64) int64 {
 	if in == nil || from >= to {
 		return -1
 	}
-	f, ok := in.spec.Get(MetricsGap)
-	if !ok || f.P <= 0 {
+	f := &in.spec.faults[iMetricsGap]
+	if f.Kind == "" || f.P <= 0 {
 		return -1
 	}
-	h := in.key(MetricsGap, pod)
+	h := in.key(iMetricsGap, pod)
 	for t := from; t < to; t++ {
 		if in.drawAt(h, t) < f.P {
 			return t
@@ -532,12 +581,12 @@ func (in *Injector) PressureCores(now int64) float64 {
 	if in == nil {
 		return 0
 	}
-	f, ok := in.spec.Get(SchedPressure)
-	if !ok {
+	f := &in.spec.faults[iSchedPressure]
+	if f.Kind == "" {
 		return 0
 	}
 	window := now / f.Dur
-	if in.draw(SchedPressure, "", window) >= f.P {
+	if in.draw(iSchedPressure, "", window) >= f.P {
 		return 0
 	}
 	if window != in.pressureWindow {
@@ -545,8 +594,8 @@ func (in *Injector) PressureCores(now int64) float64 {
 		in.counts.PressureWindows++
 		in.Stats.Counter("fault.sched_pressure_windows").Inc()
 		if obs.Enabled(in.Events) {
-			in.emit(window*f.Dur, "fault.sched-pressure",
-				obs.F("cores", f.Cores), obs.I("until", (window+1)*f.Dur))
+			in.emit(window*f.Dur, "fault.sched-pressure", append(in.fields[:0],
+				obs.F("cores", f.Cores), obs.I("until", (window+1)*f.Dur)))
 		}
 	}
 	return f.Cores
@@ -563,12 +612,12 @@ func (in *Injector) MemPressureGB(pod string, now int64) float64 {
 	if in == nil {
 		return 0
 	}
-	f, ok := in.spec.Get(MemPressure)
-	if !ok {
+	f := &in.spec.faults[iMemPressure]
+	if f.Kind == "" {
 		return 0
 	}
 	window := now / f.Dur
-	if in.draw(MemPressure, pod, window) >= f.P {
+	if in.draw(iMemPressure, pod, window) >= f.P {
 		return 0
 	}
 	if window != in.memWindow {
@@ -576,8 +625,8 @@ func (in *Injector) MemPressureGB(pod string, now int64) float64 {
 		in.counts.MemPressureWindows++
 		in.Stats.Counter("fault.mem_pressure_windows").Inc()
 		if obs.Enabled(in.Events) {
-			in.emit(window*f.Dur, "fault.mem-pressure",
-				obs.S("pod", pod), obs.F("gb", f.GB), obs.I("until", (window+1)*f.Dur))
+			in.emit(window*f.Dur, "fault.mem-pressure", append(in.fields[:0],
+				obs.S("pod", pod), obs.F("gb", f.GB), obs.I("until", (window+1)*f.Dur)))
 		}
 	}
 	return f.GB
@@ -610,8 +659,8 @@ func (in *Injector) AdvancePressure(from, to int64) float64 {
 	if in == nil || to <= from {
 		return 0
 	}
-	f, ok := in.spec.Get(SchedPressure)
-	if !ok {
+	f := &in.spec.faults[iSchedPressure]
+	if f.Kind == "" {
 		return 0
 	}
 	p := 0.0

@@ -31,8 +31,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"caasper/internal/billing"
@@ -313,10 +313,23 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// sinkPool recycles the per-tenant fault-event buffers across fleet runs:
-// a chaos run over a large fleet otherwise allocates one sink — plus its
-// grown event slice — per tenant per run.
-var sinkPool = sync.Pool{New: func() any { return obs.NewMemorySink() }}
+// faultEventEstimate sizes one tenant's fault buffer for a run: the
+// metrics-gap draw every minute is the only per-minute fault event (one
+// field each), so the buffer holds the gap count's mean plus three
+// standard deviations. Few tenants exceed it; the rare restart-fail and
+// mem-pressure events mostly fit the margin, and a buffer that does
+// overflow opens another arena chunk and stays correct. The buffers are
+// not pooled across runs: a sync.Pool in front of them saved nothing on
+// repeated chaos replays, because the collector drains it in between
+// (EXPERIMENTS.md).
+func faultEventEstimate(spec *faults.Spec, minutes int) int {
+	f, ok := spec.Get(faults.MetricsGap)
+	if !ok {
+		return 0
+	}
+	mean := f.P * float64(minutes)
+	return int(mean+3*math.Sqrt(mean)) + 1
+}
 
 // proposal is one tenant's pending resize request for the current tick.
 // CPU-only tenants fill only target/severity; multi-resource tenants
@@ -508,14 +521,15 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	// in input order (first-come placement, like a real fleet onboarding
 	// sequence), per-tenant injectors (pod-keyed draws make each stream
 	// tenant-specific regardless of query order) and per-tenant event
-	// buffers replayed sequentially after the loop. All tenant records
-	// live in one backing block, and every meter is a value copy of one
-	// validated prototype — construction garbage used to dominate
-	// short-horizon fleet benchmarks.
+	// buffers, sized to the run, replayed sequentially after the loop.
+	// All tenant records live in one backing block, and every meter is a
+	// value copy of one validated prototype — construction garbage used
+	// to dominate short-horizon fleet benchmarks.
 	meterProto, err := billing.NewMeter(price, period, time.Minute)
 	if err != nil {
 		return nil, err
 	}
+	faultEvents := faultEventEstimate(h.FaultSpec, minutes)
 	tstore := make([]tenant, len(tenants))
 	ts := make([]*tenant, len(tenants))
 	for i, spec := range tenants {
@@ -552,8 +566,8 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		if t.inj != nil {
 			t.inj.Stats = h.Metrics
 			if events {
-				t.sink = sinkPool.Get().(*obs.MemorySink)
-				t.sink.Reset()
+				t.sink = obs.NewMemorySink()
+				t.sink.Reserve(faultEvents, faultEvents)
 				t.inj.Events = t.sink
 			}
 		}
@@ -572,15 +586,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		finj.Events, finj.Stats = h.Events, h.Metrics
 	}
 
-	if events {
-		h.Events.Emit(obs.Event{T: 0, Type: "fleet.run", Fields: []obs.Field{
-			obs.I("tenants", int64(len(ts))),
-			obs.I("minutes", int64(minutes)),
-			obs.I("nodes", int64(len(cluster.Nodes()))),
-			obs.I("decision_every", int64(opts.DecisionEveryMinutes)),
-		}})
-	}
-
 	res := &Result{Minutes: minutes, Tenants: make([]TenantResult, len(ts))}
 
 	s := &runState{
@@ -596,6 +601,14 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		shard:   opts.Sharding,
 		res:     res,
 		arb:     &arbScratch{},
+	}
+	if events {
+		s.emit(0, "fleet.run", append(s.arb.fields[:0],
+			obs.I("tenants", int64(len(ts))),
+			obs.I("minutes", int64(minutes)),
+			obs.I("nodes", int64(len(cluster.Nodes()))),
+			obs.I("decision_every", int64(opts.DecisionEveryMinutes)),
+		))
 	}
 	if opts.Engine == EngineEvents {
 		err = s.runEvents()
@@ -630,7 +643,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		res.TotalDiskCost += t.res.BilledDiskGBPeriods
 
 		if events {
-			fields := []obs.Field{
+			fields := append(s.arb.fields[:0],
 				obs.S("tenant", t.spec.Name),
 				obs.S("recommender", t.res.Recommender),
 				obs.F("slack", t.res.SumSlack),
@@ -640,7 +653,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 				obs.I("aborted", int64(t.res.ResizesAborted)),
 				obs.I("throttled_minutes", int64(t.res.ThrottledMinutes)),
 				obs.F("cost", t.res.BilledCorePeriods),
-			}
+			)
 			if t.mr != nil {
 				// Appended, never reordered: CPU-only tenant events stay
 				// byte-identical to the pre-vector stream.
@@ -652,10 +665,9 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 					obs.F("ram_short", t.res.RAMShortGBMin),
 				)
 			}
-			h.Events.Emit(obs.Event{T: int64(minutes), Type: "fleet.tenant", Fields: fields})
+			s.emit(minutes, "fleet.tenant", fields)
 			if t.sink != nil {
 				t.sink.ReplayTo(h.Events)
-				sinkPool.Put(t.sink)
 				t.sink = nil
 			}
 		}
@@ -791,12 +803,7 @@ func (s *runState) enactTick(cands []int, pressure float64, now int) {
 	if deferred > 0 {
 		s.res.ArbitrationTicks++
 		if s.events {
-			s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.arbitration", Fields: []obs.Field{
-				obs.I("contenders", int64(contenders)),
-				obs.I("granted", int64(granted)),
-				obs.I("deferred", int64(deferred)),
-				obs.F("pressure", pressure),
-			}})
+			s.emitArbitration(now, contenders, granted, deferred, pressure)
 		}
 	}
 }
@@ -862,14 +869,14 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 				t.res.Deferrals++
 				deferred++
 				if s.events {
-					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+					s.emit(now, "fleet.deferred", append(s.arb.fields[:0],
 						obs.S("tenant", t.spec.Name),
 						obs.I("from", int64(t.set.CPULimit())),
 						obs.I("want", int64(t.prop.target)),
 						obs.F("severity", t.prop.severity),
 						obs.S("node", node.Name),
 						obs.F("short_cores", short),
-					}})
+					))
 				}
 				continue
 			}
@@ -883,14 +890,17 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 
 // arbScratch holds the phase-2 working storage reused across ticks: the
 // per-node resize tally of infeasible (parallel slices — sets span a
-// handful of nodes, so linear probing beats a map rebuilt per check) and
-// enact's rollback list. needMem is touched only by multi-resource
-// tenants, so CPU-only fleets never allocate it.
+// handful of nodes, so linear probing beats a map rebuilt per check),
+// enact's rollback list and the fleet.* event field buffer (see emit).
+// needMem is touched only by multi-resource tenants, so CPU-only fleets
+// never allocate it. Every event-engine shard owns one, so concurrent
+// shards never share a buffer.
 type arbScratch struct {
 	nodes   []*k8s.Node
 	need    []float64
 	needMem []float64 // RAM deltas per node (multi-resource proposals)
 	done    []*k8s.Pod
+	fields  []obs.Field
 }
 
 // infeasible checks whether granting the tenant's proposal would
@@ -1012,12 +1022,12 @@ func (s *runState) enact(t *tenant, now int) {
 				// competes for cluster-wide capacity and may still lose.
 				t.res.Deferrals++
 				if s.events {
-					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+					s.emit(now, "fleet.deferred", append(s.arb.fields[:0],
 						obs.S("tenant", t.spec.Name),
 						obs.S("reason", "scale-out"),
 						obs.I("want_replicas", int64(prop.reps)),
 						obs.F("severity", prop.severity),
-					}})
+					))
 				}
 			} else {
 				m.replicas++
@@ -1033,12 +1043,12 @@ func (s *runState) enact(t *tenant, now int) {
 	}
 
 	if s.events {
-		fields := []obs.Field{
+		fields := append(s.arb.fields[:0],
 			obs.S("tenant", t.spec.Name),
 			obs.I("from", int64(from)),
 			obs.I("to", int64(prop.target)),
 			obs.F("severity", prop.severity),
-		}
+		)
 		if m != nil {
 			// Appended, never reordered: CPU-only resize events keep their
 			// four fields.
@@ -1049,7 +1059,7 @@ func (s *runState) enact(t *tenant, now int) {
 				obs.I("replicas", int64(m.replicas)),
 			)
 		}
-		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
+		s.emit(now, "fleet.resize", fields)
 	}
 }
 
@@ -1058,11 +1068,31 @@ func (s *runState) enact(t *tenant, now int) {
 func (s *runState) aborted(t *tenant, from int, reason string, now int) {
 	t.res.ResizesAborted++
 	if s.events {
-		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
+		s.emit(now, "fleet.resize-aborted", append(s.arb.fields[:0],
 			obs.S("tenant", t.spec.Name),
 			obs.I("from", int64(from)),
 			obs.I("to", int64(t.prop.target)),
 			obs.S("reason", reason),
-		}})
+		))
 	}
+}
+
+// emit sends one fleet event whose fields the caller appended to
+// s.arb.fields[:0], and keeps the grown buffer for the next event: the
+// obs.Sink contract lets emitters reuse the backing array once Emit
+// returns, so the enabled stream allocates only while the buffer grows.
+func (s *runState) emit(now int, typ string, fields []obs.Field) {
+	s.h.Events.Emit(obs.Event{T: int64(now), Type: typ, Fields: fields})
+	s.arb.fields = fields[:0]
+}
+
+// emitArbitration sends the per-tick "fleet.arbitration" summary — from
+// enactTick, or from the shard merge with the summed shard tallies.
+func (s *runState) emitArbitration(now, contenders, granted, deferred int, pressure float64) {
+	s.emit(now, "fleet.arbitration", append(s.arb.fields[:0],
+		obs.I("contenders", int64(contenders)),
+		obs.I("granted", int64(granted)),
+		obs.I("deferred", int64(deferred)),
+		obs.F("pressure", pressure),
+	))
 }

@@ -155,16 +155,19 @@ func keyLess(a, b evKey) bool {
 
 // shardSink buffers one shard's phase-2 events alongside their merge
 // keys (enactPhase tags the pending key before each emission). Emitters
-// build fresh Fields slices, so retaining them until the merge is safe.
+// reuse one Fields backing array for every event (runState.emit), so the
+// sink copies each event's fields into its arena before retaining it.
 type shardSink struct {
-	evs  []obs.Event
-	keys []evKey
-	key  evKey
+	evs   []obs.Event
+	keys  []evKey
+	key   evKey
+	arena obs.FieldArena
 }
 
 func (k *shardSink) Enabled() bool { return true }
 func (k *shardSink) Flush() error  { return nil }
 func (k *shardSink) Emit(e obs.Event) {
+	e.Fields = k.arena.Copy(e.Fields)
 	k.evs = append(k.evs, e)
 	k.keys = append(k.keys, k.key)
 }
@@ -491,12 +494,7 @@ func (s *runState) mergeShards(shards []shardRun) {
 		}
 		if deferred > 0 {
 			s.res.ArbitrationTicks++
-			s.h.Events.Emit(obs.Event{T: int64(d), Type: "fleet.arbitration", Fields: []obs.Field{
-				obs.I("contenders", int64(contenders)),
-				obs.I("granted", int64(granted)),
-				obs.I("deferred", int64(deferred)),
-				obs.F("pressure", pressure),
-			}})
+			s.emitArbitration(d, contenders, granted, deferred, pressure)
 		}
 	}
 	if s.finj != nil && clock < s.minutes {

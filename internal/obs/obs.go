@@ -23,6 +23,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -111,10 +112,17 @@ func (e Event) AppendNDJSON(dst []byte) []byte {
 // appendJSONString appends a JSON-escaped quoted string. Printable
 // characters (including multi-byte UTF-8, which the decision explanations
 // use) pass through untouched; quotes, backslashes and control characters
-// are escaped per RFC 8259.
+// are escaped per RFC 8259. Event keys, types and most values need no
+// escaping, so the bytes before the first one that does are appended in
+// one copy.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
+	i := 0
+	for i < len(s) && !needsEscape(s[i]) {
+		i++
+	}
+	dst = append(dst, s[:i]...)
+	for ; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case c == '"' || c == '\\':
@@ -134,6 +142,9 @@ func appendJSONString(dst []byte, s string) []byte {
 	}
 	return append(dst, '"')
 }
+
+// needsEscape reports whether appendJSONString must escape byte c.
+func needsEscape(c byte) bool { return c < 0x20 || c == '"' || c == '\\' }
 
 // appendJSONFloat appends a float in shortest round-trippable form;
 // non-finite values become null (JSON has no representation for them).
@@ -243,17 +254,61 @@ func (s *NDJSONSink) Err() error {
 	return s.err
 }
 
+// FieldArena is chunked storage for the Fields of retained events. The
+// Sink contract lets emitters reuse their Fields backing array as soon as
+// Emit returns, so every sink that keeps events past the call (MemorySink,
+// the fleet's shard buffers) copies the fields in here first. Growth opens
+// a fresh chunk instead of reallocating: fields already copied stay where
+// they are (immutable, alive until the events holding them are), and a
+// long capture never re-copies what it already copied. The zero value is
+// ready to use; it is not safe for concurrent use.
+type FieldArena struct {
+	buf []Field
+}
+
+// firstChunk is the first chunk of an arena nobody sized with Reserve.
+const firstChunk = 512
+
+// Copy appends fs to the arena and returns the copy, capped so that a
+// later append to it cannot write into the arena.
+func (a *FieldArena) Copy(fs []Field) []Field {
+	n := len(fs)
+	if n == 0 {
+		return fs[:0:0]
+	}
+	if cap(a.buf)-len(a.buf) < n {
+		size := 2 * cap(a.buf)
+		if size == 0 {
+			size = firstChunk
+		}
+		a.Reserve(max(size, n))
+	}
+	start := len(a.buf)
+	a.buf = append(a.buf, fs...)
+	return a.buf[start:len(a.buf):len(a.buf)]
+}
+
+// Reserve makes room for n more fields without opening another chunk.
+func (a *FieldArena) Reserve(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]Field, 0, n)
+	}
+}
+
+// Reset recycles the arena's current chunk for new fields. Fields copied
+// before the Reset must no longer be read.
+func (a *FieldArena) Reset() { a.buf = a.buf[:0] }
+
 // MemorySink collects events in memory — the buffering half of the
 // multi-run determinism story (per-run capture, ordered replay) and the
 // assertion surface of the golden event-stream tests.
 type MemorySink struct {
 	mu     sync.Mutex
 	events []Event
-	// arena backs the collected events' Fields: Emit copies each event's
-	// fields in (the Sink contract lets emitters reuse their backing), so
-	// a long capture costs one growing arena instead of one slice header
-	// per event — and pooled sinks reuse it across runs after Reset.
-	arena []Field
+	// arena backs the collected events' Fields, so a long capture costs
+	// one growing arena instead of one slice per event — and a Reset sink
+	// reuses it for the next run.
+	arena FieldArena
 }
 
 // NewMemorySink returns an empty collecting sink.
@@ -266,26 +321,18 @@ func (m *MemorySink) Enabled() bool { return true }
 // arena, so callers may reuse their backing array immediately.
 func (m *MemorySink) Emit(e Event) {
 	m.mu.Lock()
-	if n := len(e.Fields); n > 0 {
-		if cap(m.arena)-len(m.arena) < n {
-			// Chunked growth: open a fresh block instead of reallocating,
-			// so already-captured events keep pointing into the old chunks
-			// (immutable, alive until the events are) and no capture ever
-			// re-copies what it already copied.
-			size := 2 * cap(m.arena)
-			if size < 512 {
-				size = 512
-			}
-			if size < n {
-				size = n
-			}
-			m.arena = make([]Field, 0, size)
-		}
-		start := len(m.arena)
-		m.arena = append(m.arena, e.Fields...)
-		e.Fields = m.arena[start:len(m.arena):len(m.arena)]
-	}
+	e.Fields = m.arena.Copy(e.Fields)
 	m.events = append(m.events, e)
+	m.mu.Unlock()
+}
+
+// Reserve makes room for events more events carrying fields fields in
+// total, so a sink whose load can be estimated up front collects it
+// without growing. Sinks left unsized start at a 512-field chunk.
+func (m *MemorySink) Reserve(events, fields int) {
+	m.mu.Lock()
+	m.events = slices.Grow(m.events, events)
+	m.arena.Reserve(fields)
 	m.mu.Unlock()
 }
 
@@ -316,16 +363,26 @@ func (m *MemorySink) Len() int {
 func (m *MemorySink) Reset() {
 	m.mu.Lock()
 	m.events = m.events[:0]
-	m.arena = m.arena[:0]
+	m.arena.Reset()
 	m.mu.Unlock()
 }
 
-// ReplayTo re-emits every collected event into dst in order.
+// ReplayTo re-emits every event collected so far into dst in order,
+// reading the sink's buffer in place rather than through a copy. Events
+// emitted into m during the replay are not replayed, so replaying a sink
+// into itself appends exactly one copy of each of its events. m must not
+// be Reset while the replay runs.
 func (m *MemorySink) ReplayTo(dst Sink) {
 	if !Enabled(dst) {
 		return
 	}
-	for _, e := range m.Events() {
+	// Collected events are never modified in place (Emit only appends,
+	// and arena fields are immutable), so the snapshot's elements stay
+	// valid without the lock — which must not be held, since dst may be m.
+	m.mu.Lock()
+	evs := m.events
+	m.mu.Unlock()
+	for _, e := range evs {
 		dst.Emit(e)
 	}
 }

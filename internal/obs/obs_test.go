@@ -136,6 +136,35 @@ func TestMemorySinkReplayPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestMemorySinkReplayInPlace pins ReplayTo's two contracts: it reads
+// the buffer in place (replaying into an encoding sink allocates
+// nothing once that sink's line buffer is warm), and replaying a sink
+// into itself appends exactly one copy of each event collected before
+// the call.
+func TestMemorySinkReplayInPlace(t *testing.T) {
+	mem := NewMemorySink()
+	for i := 0; i < 100; i++ {
+		mem.Emit(Event{T: int64(i), Type: "seq", Fields: []Field{I("i", int64(i)), S("k", "v")}})
+	}
+	dst := NewNDJSONSink(io.Discard)
+	mem.ReplayTo(dst)
+	if a := testing.AllocsPerRun(20, func() { mem.ReplayTo(dst) }); a != 0 {
+		t.Errorf("ReplayTo allocated %.0f times per replay, want 0", a)
+	}
+
+	mem.ReplayTo(mem)
+	evs := mem.Events()
+	if len(evs) != 200 {
+		t.Fatalf("self-replay left %d events, want 200", len(evs))
+	}
+	for i, e := range evs {
+		want := string(Event{T: int64(i % 100), Type: "seq", Fields: []Field{I("i", int64(i%100)), S("k", "v")}}.AppendNDJSON(nil))
+		if got := string(e.AppendNDJSON(nil)); got != want {
+			t.Fatalf("event %d after self-replay = %s, want %s", i, got, want)
+		}
+	}
+}
+
 func TestSpan(t *testing.T) {
 	mem := NewMemorySink()
 	sp := StartSpan(mem, "k8s.resize-completed", 100)

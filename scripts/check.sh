@@ -50,6 +50,12 @@ go test -run '^$' -fuzz '^FuzzDecideOracle$' -fuzztime 10s ./internal/core/
 echo "==> fuzz AddN (10s)"
 go test -run '^$' -fuzz '^FuzzAddN$' -fuzztime 10s ./internal/stats/
 
+# NDJSON string encoder fuzz: appendJSONString's no-escape fast path must
+# equal the byte-at-a-time escape loop, and valid UTF-8 must round-trip
+# through encoding/json (seed corpus in internal/obs/testdata/fuzz/).
+echo "==> fuzz AppendJSONString (10s)"
+go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/obs/
+
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
 echo "==> apicheck (exported API vs testdata/api.txt)"
@@ -85,7 +91,9 @@ for ex in examples/*/; do
     "$EXDIR/$name" >/dev/null || { echo "==> FAIL: example $name exited non-zero" >&2; exit 1; }
 done
 
-# BenchmarkDecide also matches the BenchmarkDecideScratch decision-loop rows.
+# BenchmarkDecide also matches the BenchmarkDecideScratch decision-loop
+# rows, and BenchmarkFleetTickChaos the NDJSON-stream row
+# BenchmarkFleetTickChaosNDJSON.
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkFleetTickChaos' -benchtime 1x -benchmem .
 go test -run xxx -bench 'BenchmarkRandomSearchParallel' -benchtime 1x -benchmem ./internal/tuning/

@@ -661,14 +661,14 @@ func benchMonthSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 // the direct comparison.)
 func BenchmarkFleetMonth100k(b *testing.B) {
 	const tenants, minutes = 100_000, 43_200
+	var per tenantAllocs
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchMonthSpecs(b, tenants, minutes)
 		opts.Engine = caasper.FleetEngineEvents
-		if _, err := caasper.RunFleet(specs, opts); err != nil {
-			b.Fatal(err)
-		}
+		per.run(b, specs, opts)
 		b.ReportMetric(float64(tenants)*minutes*float64(i+1)/b.Elapsed().Seconds(), "tenant_minutes/s")
 	}
+	per.report(b, tenants)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.Sys)/(1<<20), "heap_sys_MB")
@@ -683,14 +683,41 @@ func BenchmarkFleetMonth100k(b *testing.B) {
 // the sequential merge becomes the bottleneck (Amdahl's ceiling).
 func BenchmarkFleetMonth10k(b *testing.B) {
 	const tenants, minutes = 10_000, 43_200
+	var per tenantAllocs
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchMonthSpecs(b, tenants, minutes)
 		opts.Engine = caasper.FleetEngineEvents
-		if _, err := caasper.RunFleet(specs, opts); err != nil {
-			b.Fatal(err)
-		}
+		per.run(b, specs, opts)
 		b.ReportMetric(float64(tenants)*minutes*float64(i+1)/b.Elapsed().Seconds(), "tenant_minutes/s")
 	}
+	per.report(b, tenants)
+}
+
+// tenantAllocs accumulates what RunFleet alone allocates across a month
+// benchmark's iterations — B/op and allocs/op also count building the
+// specs — and reports it per tenant, the figure
+// internal/fleet's TestTenantAllocBudget pins.
+type tenantAllocs struct {
+	bytes, objects uint64
+	runs           int
+}
+
+func (a *tenantAllocs) run(b *testing.B, specs []caasper.TenantSpec, opts caasper.FleetOptions) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := caasper.RunFleet(specs, opts); err != nil {
+		b.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	a.bytes += after.TotalAlloc - before.TotalAlloc
+	a.objects += after.Mallocs - before.Mallocs
+	a.runs++
+}
+
+func (a *tenantAllocs) report(b *testing.B, tenants int) {
+	n := float64(tenants * a.runs)
+	b.ReportMetric(float64(a.bytes)/n, "B/tenant")
+	b.ReportMetric(float64(a.objects)/n, "allocs/tenant")
 }
 
 func BenchmarkRandomSearch(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 // Meter accumulates billable usage under the pay-as-you-go model.
 type Meter struct {
 	// PricePerCorePeriod is the price of one core held for one period.
+	// Each period is priced when it closes.
 	PricePerCorePeriod float64
 	// Period is the metering granularity ("minutely or hourly depending
 	// on configuration" per §3.1).
@@ -27,7 +28,12 @@ type Meter struct {
 	samplesPerPeriod int
 	sampleInPeriod   int
 	peakThisPeriod   float64
-	periods          []float64 // peak cores per completed period
+	// billed and cost are the running sums of ceil(peak) and
+	// ceil(peak)·PricePerCorePeriod over the closed periods, added in
+	// period order: the same float additions a sum over a stored slice of
+	// peaks would make, so the totals are bit-identical to it while the
+	// meter stays O(1) in the horizon.
+	billed, cost float64
 }
 
 // NewMeter builds a billing meter. SampleInterval must evenly divide
@@ -86,7 +92,9 @@ func (m *Meter) RecordN(limitsCores float64, n int) {
 }
 
 func (m *Meter) closePeriod() {
-	m.periods = append(m.periods, m.peakThisPeriod)
+	cores := math.Ceil(m.peakThisPeriod)
+	m.billed += cores
+	m.cost += cores * m.PricePerCorePeriod
 	m.peakThisPeriod = 0
 	m.sampleInPeriod = 0
 }
@@ -101,34 +109,16 @@ func (m *Meter) Flush() {
 
 // TotalCost returns the accumulated cost over all closed periods: the
 // per-period peak, rounded up to whole cores, times the price.
-func (m *Meter) TotalCost() float64 {
-	var total float64
-	for _, peak := range m.periods {
-		total += math.Ceil(peak) * m.PricePerCorePeriod
-	}
-	return total
-}
+func (m *Meter) TotalCost() float64 { return m.cost }
 
 // BilledCorePeriods returns the total billed core-periods (cost at unit
 // price) — convenient for price ratios, which is how the paper reports
 // every cost figure.
-func (m *Meter) BilledCorePeriods() float64 {
-	var total float64
-	for _, peak := range m.periods {
-		total += math.Ceil(peak)
-	}
-	return total
-}
-
-// Periods returns the per-period peaks recorded so far (closed periods
-// only). The slice is a copy.
-func (m *Meter) Periods() []float64 {
-	return append([]float64(nil), m.periods...)
-}
+func (m *Meter) BilledCorePeriods() float64 { return m.billed }
 
 // Reset clears all accumulated state.
 func (m *Meter) Reset() {
-	m.periods = m.periods[:0]
+	m.billed, m.cost = 0, 0
 	m.peakThisPeriod = 0
 	m.sampleInPeriod = 0
 }

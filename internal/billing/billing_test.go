@@ -1,6 +1,8 @@
 package billing
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -46,8 +48,63 @@ func TestMeterPeakPerPeriod(t *testing.T) {
 	if got := m.TotalCost(); got != 18 {
 		t.Errorf("cost = %v, want 18", got)
 	}
-	if p := m.Periods(); len(p) != 2 || p[0] != 6 || p[1] != 3 {
-		t.Errorf("periods = %v", p)
+}
+
+// TestMeterRunningSumsMatchPeakLoop drives meters with random limits
+// through Record and RecordN and checks both totals against a reference
+// that keeps every closed period's peak and sums ceil(peak) and
+// ceil(peak)·price over them in period order, bit for bit. The price is
+// not an integer, so the cost sum rounds, and every run ends with a
+// Flush of a partial period.
+func TestMeterRunningSumsMatchPeakLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		price := 0.1 + rng.Float64()*3
+		perPeriod := 2 + rng.IntN(89)
+		m, err := NewMeter(price, time.Duration(perPeriod)*time.Minute, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peaks []float64
+		peak, filled := 0.0, 0
+		record := func(v float64) {
+			peak = math.Max(peak, v)
+			if filled++; filled == perPeriod {
+				peaks = append(peaks, peak)
+				peak, filled = 0, 0
+			}
+		}
+		for ops := rng.IntN(60); ops > 0; ops-- {
+			v := rng.Float64() * 16
+			if rng.IntN(2) == 0 {
+				m.Record(v)
+				record(v)
+				continue
+			}
+			n := 1 + rng.IntN(3*perPeriod)
+			m.RecordN(v, n)
+			for i := 0; i < n; i++ {
+				record(v)
+			}
+		}
+		if filled == 0 {
+			m.Record(0.5)
+			record(0.5)
+		}
+		m.Flush()
+		peaks = append(peaks, peak)
+
+		var billed, cost float64
+		for _, p := range peaks {
+			billed += math.Ceil(p)
+			cost += math.Ceil(p) * price
+		}
+		if got := m.BilledCorePeriods(); got != billed {
+			t.Fatalf("trial %d: billed = %v, want %v", trial, got, billed)
+		}
+		if got := m.TotalCost(); got != cost {
+			t.Fatalf("trial %d: cost = %v, want %v (price %v, %d periods)", trial, got, cost, price, len(peaks))
+		}
 	}
 }
 

@@ -139,8 +139,9 @@ type Scratch struct {
 	sfValid bool
 	sfSlope float64
 	rawSF   float64
-	// sel is the quickselect copy of the clean window the quantile and
-	// the peak are read from.
+	// sel is the quickselect copy of a clean window too long for
+	// DecideScratch's stack buffer; the quantile and the peak are read
+	// from it.
 	sel []float64
 
 	// expKind/expPeak record which prose template the last full
@@ -426,9 +427,21 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 
 	// The R-7 quantile, quickselected in a copy so the memo window keeps
 	// its order (clean is non-empty, so there is no error). The walk-down
-	// branch reads the peak from the same copy.
-	sel := append(sc.sel[:0], clean...)
-	sc.sel = sel
+	// branch reads the peak from the same copy. Windows up to
+	// len(selBuf) copy into the frame, so a fleet of short-window tenants
+	// holds no per-tenant copy; selBuf must never be stored (sc.sel
+	// included), or it escapes and every decision allocates it.
+	var selBuf [64]float64
+	var sel []float64
+	if n <= len(selBuf) {
+		sel = selBuf[:n]
+	} else {
+		if cap(sc.sel) < n {
+			sc.sel = make([]float64, n)
+		}
+		sel = sc.sel[:n]
+	}
+	copy(sel, clean)
 	q, _ := stats.QuantileInPlace(sel, cfg.QuantileP)
 
 	d := Decision{

@@ -123,10 +123,10 @@ func (s *runState) prepEvents() {
 	// distinct trace, not once per tenant.
 	runsByTrace := make(map[*trace.Trace][]int32)
 	for _, t := range s.ts {
-		r, ok := runsByTrace[t.spec.Trace]
+		r, ok := runsByTrace[t.trace]
 		if !ok {
-			r = t.spec.Trace.RunStarts()
-			runsByTrace[t.spec.Trace] = r
+			r = t.trace.RunStarts()
+			runsByTrace[t.trace] = r
 		}
 		t.runs = r
 		t.gap = t.inj.Has(faults.MetricsGap)
@@ -215,7 +215,7 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 		return
 	}
 	limf := float64(t.lim)
-	vs := t.spec.Trace.Values
+	vs := t.trace.Values
 	sumSlack := t.res.SumSlack
 	sumShort := t.res.SumInsufficient
 	sev := t.severity
@@ -315,14 +315,14 @@ func (t *tenant) computeWake(s *runState, d, limit int) {
 		return
 	}
 	limf := float64(limit)
-	u := t.spec.Trace.Values[d]
+	u := t.trace.Values[d]
 	if u > limf {
 		u = limf
 	}
 	if !t.steady.SteadyObserving(u) {
 		return
 	}
-	ni := len(t.spec.Trace.Values) // no further inflection: sleep forever
+	ni := len(t.trace.Values) // no further inflection: sleep forever
 	if t.runCur+1 < len(t.runs) {
 		ni = int(t.runs[t.runCur+1])
 	}

@@ -356,37 +356,48 @@ func (p proposal) grows(t *tenant) bool {
 
 // tenant is the per-tenant runtime state. Phase 1 touches exactly one
 // tenant per goroutine; phase 2 walks them sequentially.
+//
+// The record is kept lean because a fleet holds one per tenant for the
+// whole run: it keeps only what the loops read, not the TenantSpec (the
+// name lives in res, the pod memory in set, the multi-resource fields in
+// mr), and it writes its results straight into its Result slot. The
+// fields an event-engine wake reads come first, so a wake touches as few
+// cache lines as the record allows.
 type tenant struct {
-	spec TenantSpec
-	rec  recommend.Recommender
-	set  *k8s.StatefulSet
-	// meter is held by value: fleets allocate tenants in one block and the
-	// meter has no identity beyond its tenant.
-	meter billing.Meter
-	inj   *faults.Injector
-	sink  *obs.MemorySink
-	res   TenantResult
-	// pod caches the ordinal-0 pod name, the tenant's fault-draw key.
-	pod string
-
-	prevUsage float64 // last minute's usage, replayed on a metrics-gap fault
-	severity  float64 // insufficiency accumulated since the last decision
-	prop      proposal
-	hasProp   bool
-
-	// mr is the multi-resource state; nil keeps the tenant on the exact
-	// CPU-only code paths (see multi.go).
-	mr *multiState
-
 	// Event-engine state (see events.go; untouched by the stepped engine).
 	done   int                      // minutes [0, done) are fully accounted
 	wakeAt int                      // next wake minute computed at the last decision (−1: none)
 	lim    int                      // cached CPU limit: only phase 2 resizes, and only proposers
-	runs   []int32                  // the trace's constant-run starts, shared across tenants
 	runCur int                      // index into runs of the run containing done
-	gap    bool                     // spec includes metrics-gap: samples need per-minute draws
+	runs   []int32                  // the trace's constant-run starts, shared across tenants
 	bulk   recommend.RunObserver    // non-nil: bulk window advance allowed
 	steady recommend.SteadyObserver // non-nil: steady-state sleep allowed
+	gap    bool                     // spec includes metrics-gap: samples need per-minute draws
+
+	hasProp   bool
+	prop      proposal
+	prevUsage float64 // last minute's usage, replayed on a metrics-gap fault
+	severity  float64 // insufficiency accumulated since the last decision
+
+	trace *trace.Trace
+	rec   recommend.Recommender
+	// res is the tenant's slot in Result.Tenants.
+	res *TenantResult
+	// meter is held by value: fleets allocate tenants in one block and the
+	// meter has no identity beyond its tenant.
+	meter billing.Meter
+	// minCores and maxCores are the resolved CPU clamps of decide.
+	minCores, maxCores int
+
+	inj *faults.Injector
+	// pod caches the ordinal-0 pod name, the tenant's fault-draw key.
+	pod  string
+	set  *k8s.StatefulSet
+	sink *obs.MemorySink
+
+	// mr is the multi-resource state; nil keeps the tenant on the exact
+	// CPU-only code paths (see multi.go).
+	mr *multiState
 }
 
 // decide evaluates the recommender at a decision tick: the clamped target
@@ -396,11 +407,11 @@ type tenant struct {
 // clamped target on to decideMulti, which weighs the other dimensions.
 func (t *tenant) decide(limit int) {
 	target := t.rec.Recommend(limit)
-	if target < t.spec.Resources.Min.CPUCores {
-		target = t.spec.Resources.Min.CPUCores
+	if target < t.minCores {
+		target = t.minCores
 	}
-	if target > t.spec.Resources.Max.CPUCores {
-		target = t.spec.Resources.Max.CPUCores
+	if target > t.maxCores {
+		target = t.maxCores
 	}
 	if t.mr != nil {
 		t.decideMulti(limit, target)
@@ -522,17 +533,20 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	// sequence), per-tenant injectors (pod-keyed draws make each stream
 	// tenant-specific regardless of query order) and per-tenant event
 	// buffers, sized to the run, replayed sequentially after the loop.
-	// All tenant records live in one backing block, and every meter is a
-	// value copy of one validated prototype — construction garbage used
-	// to dominate short-horizon fleet benchmarks.
+	// All tenant records live in one backing block, every meter is a
+	// value copy of one validated prototype, and each tenant writes its
+	// results into its slot of the Result allocated here — construction
+	// garbage used to dominate short-horizon fleet benchmarks.
 	meterProto, err := billing.NewMeter(price, period, time.Minute)
 	if err != nil {
 		return nil, err
 	}
 	faultEvents := faultEventEstimate(h.FaultSpec, minutes)
+	res := &Result{Minutes: minutes, Tenants: make([]TenantResult, len(tenants))}
 	tstore := make([]tenant, len(tenants))
 	ts := make([]*tenant, len(tenants))
-	for i, spec := range tenants {
+	for i := range tenants {
+		spec := &tenants[i]
 		rr := spec.Resources.Resolve()
 		replicas := spec.Replicas
 		if rr.Multi() && rr.Initial.Replicas > 0 {
@@ -554,11 +568,16 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fleet: onboarding %q: %w", spec.Name, err)
 		}
 		t := &tstore[i]
-		t.spec, t.rec, t.set, t.meter, t.pod = spec, rec, set, *meterProto, set.Pods[0].Name
-		// The decide clamp reads the resolved bounds off the tenant's copy.
-		t.spec.Resources = rr
+		t.trace, t.rec, t.set, t.meter, t.pod = spec.Trace, rec, set, *meterProto, set.Pods[0].Name
+		t.minCores, t.maxCores = rr.Min.CPUCores, rr.Max.CPUCores
+		t.res = &res.Tenants[i]
+		*t.res = TenantResult{
+			Name:         spec.Name,
+			Recommender:  rec.Name(),
+			InitialCores: rr.Initial.CPUCores,
+		}
 		if rr.Multi() {
-			if err := t.initMulti(replicas, minutes, period, opts); err != nil {
+			if err := t.initMulti(spec, rr, replicas, minutes, period, opts); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 			}
 		}
@@ -571,11 +590,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 				t.inj.Events = t.sink
 			}
 		}
-		t.res = TenantResult{
-			Name:         spec.Name,
-			Recommender:  rec.Name(),
-			InitialCores: rr.Initial.CPUCores,
-		}
 		ts[i] = t
 	}
 
@@ -585,8 +599,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	if finj != nil {
 		finj.Events, finj.Stats = h.Events, h.Metrics
 	}
-
-	res := &Result{Minutes: minutes, Tenants: make([]TenantResult, len(ts))}
 
 	s := &runState{
 		ts:      ts,
@@ -621,7 +633,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 
 	// Epilogue: close the books, emit the per-tenant summaries and replay
 	// each tenant's buffered fault stream, all in tenant order.
-	for i, t := range ts {
+	for _, t := range ts {
 		t.meter.Flush()
 		t.res.FinalCores = t.set.CPULimit()
 		t.res.BilledCorePeriods = t.meter.BilledCorePeriods()
@@ -629,7 +641,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		if t.mr != nil {
 			t.finishMulti()
 		}
-		res.Tenants[i] = t.res
 
 		res.TotalSlack += t.res.SumSlack
 		res.TotalInsufficient += t.res.SumInsufficient
@@ -644,7 +655,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 
 		if events {
 			fields := append(s.arb.fields[:0],
-				obs.S("tenant", t.spec.Name),
+				obs.S("tenant", t.res.Name),
 				obs.S("recommender", t.res.Recommender),
 				obs.F("slack", t.res.SumSlack),
 				obs.F("insufficient", t.res.SumInsufficient),
@@ -702,6 +713,11 @@ func (s *runState) runStepped() error {
 	for i := range all {
 		all[i] = i
 	}
+	// Every segment's fan-out runs the same task value over a reused
+	// segment record: a closure built per segment would capture that
+	// segment's bounds and allocate them on every decision tick.
+	seg := &stepSegment{ts: ts}
+	observe := seg.observe
 
 	for segStart := 0; segStart < minutes; {
 		// The segment ends just after the next decision minute (the first
@@ -733,61 +749,73 @@ func (s *runState) runStepped() error {
 		// Phase 1 — parallel observe/decide over the whole segment. Each
 		// task touches only its tenant's state and reads nothing phase 2
 		// mutates, so any worker count produces identical proposals.
-		err := parallel.ForEach(ctx, len(ts), s.workers, func(i int) error {
-			t := ts[i]
-			if t.mr != nil {
-				// Multi-resource tenants observe every dimension; the
-				// CPU-only loop below stays byte-for-byte untouched.
-				t.observeMultiSegment(segStart, segEnd, decision)
-				return nil
-			}
-			limit := t.set.CPULimit() // constant within the segment
-			limf := float64(limit)
-			t.hasProp = false
-			for now := segStart; now < segEnd; now++ {
-				demand := t.spec.Trace.Values[now]
-				usage := demand
-				if usage > limf {
-					usage = limf
-				}
-
-				// Scrape: a metrics-gap fault loses this minute's sample,
-				// so the recommender observes the previous one —
-				// ground-truth accounting below is unaffected.
-				observed := usage
-				if t.inj.DropSample(t.pod, int64(now)) {
-					observed = t.prevUsage
-				}
-				t.prevUsage = usage
-				t.rec.Observe(now, observed)
-
-				// Ground-truth accounting in core-minutes.
-				if slack := limf - usage; slack > 0 {
-					t.res.SumSlack += slack
-				}
-				if short := demand - limf; short > 0 {
-					t.res.SumInsufficient += short
-					t.severity += short
-					t.res.ThrottledMinutes++
-				}
-				t.meter.Record(limf)
-			}
-
-			// Decide: file a proposal for phase 2. The severity snapshot
-			// is the insufficiency accumulated since the last decision —
-			// the arbiter's priority signal.
-			if decision >= 0 {
-				t.decide(limit)
-			}
-			return nil
-		})
-		if err != nil {
+		seg.start, seg.end, seg.decision = segStart, segEnd, decision
+		if err := parallel.ForEach(ctx, len(ts), s.workers, observe); err != nil {
 			return err
 		}
 		segStart = segEnd
 		if decision >= 0 {
 			s.enactTick(all, pressure, decision)
 		}
+	}
+	return nil
+}
+
+// stepSegment is the stepped engine's phase-1 task for one decision
+// segment: minutes [start, end), ending with a decision at minute
+// decision (−1 when the replay ends first).
+type stepSegment struct {
+	ts                   []*tenant
+	start, end, decision int
+}
+
+// observe replays tenant i's minutes of the segment — scrape, observe,
+// account, meter — and files its proposal at the decision tick.
+func (g *stepSegment) observe(i int) error {
+	t := g.ts[i]
+	if t.mr != nil {
+		// Multi-resource tenants observe every dimension; the CPU-only
+		// loop below stays byte-for-byte untouched.
+		t.observeMultiSegment(g.start, g.end, g.decision)
+		return nil
+	}
+	limit := t.set.CPULimit() // constant within the segment
+	limf := float64(limit)
+	t.hasProp = false
+	for now := g.start; now < g.end; now++ {
+		demand := t.trace.Values[now]
+		usage := demand
+		if usage > limf {
+			usage = limf
+		}
+
+		// Scrape: a metrics-gap fault loses this minute's sample, so the
+		// recommender observes the previous one — ground-truth accounting
+		// below is unaffected.
+		observed := usage
+		if t.inj.DropSample(t.pod, int64(now)) {
+			observed = t.prevUsage
+		}
+		t.prevUsage = usage
+		t.rec.Observe(now, observed)
+
+		// Ground-truth accounting in core-minutes.
+		if slack := limf - usage; slack > 0 {
+			t.res.SumSlack += slack
+		}
+		if short := demand - limf; short > 0 {
+			t.res.SumInsufficient += short
+			t.severity += short
+			t.res.ThrottledMinutes++
+		}
+		t.meter.Record(limf)
+	}
+
+	// Decide: file a proposal for phase 2. The severity snapshot is the
+	// insufficiency accumulated since the last decision — the arbiter's
+	// priority signal.
+	if g.decision >= 0 {
+		t.decide(limit)
 	}
 	return nil
 }
@@ -870,7 +898,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 				deferred++
 				if s.events {
 					s.emit(now, "fleet.deferred", append(s.arb.fields[:0],
-						obs.S("tenant", t.spec.Name),
+						obs.S("tenant", t.res.Name),
 						obs.I("from", int64(t.set.CPULimit())),
 						obs.I("want", int64(t.prop.target)),
 						obs.F("severity", t.prop.severity),
@@ -913,7 +941,7 @@ type arbScratch struct {
 // dimension's native unit, or nil when the grant fits.
 func infeasible(t *tenant, pressure float64, arb *arbScratch) (*k8s.Node, float64) {
 	multi := t.mr != nil
-	podMem := t.spec.MemGiBPerPod
+	podMem := t.set.MemGiBPerPod
 	if multi && t.mr.ram != nil {
 		podMem = float64(t.prop.ram)
 	}
@@ -972,7 +1000,7 @@ func infeasible(t *tenant, pressure float64, arb *arbScratch) (*k8s.Node, float6
 func (s *runState) enact(t *tenant, now int) {
 	m, prop := t.mr, t.prop
 	from := t.set.CPULimit()
-	oldMem, newMem := t.spec.MemGiBPerPod, t.spec.MemGiBPerPod
+	oldMem, newMem := t.set.MemGiBPerPod, t.set.MemGiBPerPod
 	resize := prop.target != from
 	fromRAM, fromReps := 0, 0
 	if m != nil {
@@ -1017,13 +1045,13 @@ func (s *runState) enact(t *tenant, now int) {
 		}
 		// Only a Stateless tenant's decideMulti moves the replica target.
 		if prop.reps > fromReps {
-			if _, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now+t.spec.SeedMinutes)); err != nil {
+			if _, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now+m.seedMinutes)); err != nil {
 				// The arbiter checks existing pods' nodes; a fresh replica
 				// competes for cluster-wide capacity and may still lose.
 				t.res.Deferrals++
 				if s.events {
 					s.emit(now, "fleet.deferred", append(s.arb.fields[:0],
-						obs.S("tenant", t.spec.Name),
+						obs.S("tenant", t.res.Name),
 						obs.S("reason", "scale-out"),
 						obs.I("want_replicas", int64(prop.reps)),
 						obs.F("severity", prop.severity),
@@ -1031,7 +1059,7 @@ func (s *runState) enact(t *tenant, now int) {
 				}
 			} else {
 				m.replicas++
-				m.seeding = now + t.spec.SeedMinutes
+				m.seeding = now + m.seedMinutes
 				t.res.NumScalings++
 			}
 		} else if prop.reps < fromReps {
@@ -1044,7 +1072,7 @@ func (s *runState) enact(t *tenant, now int) {
 
 	if s.events {
 		fields := append(s.arb.fields[:0],
-			obs.S("tenant", t.spec.Name),
+			obs.S("tenant", t.res.Name),
 			obs.I("from", int64(from)),
 			obs.I("to", int64(prop.target)),
 			obs.F("severity", prop.severity),
@@ -1069,7 +1097,7 @@ func (s *runState) aborted(t *tenant, from int, reason string, now int) {
 	t.res.ResizesAborted++
 	if s.events {
 		s.emit(now, "fleet.resize-aborted", append(s.arb.fields[:0],
-			obs.S("tenant", t.spec.Name),
+			obs.S("tenant", t.res.Name),
 			obs.I("from", int64(from)),
 			obs.I("to", int64(t.prop.target)),
 			obs.S("reason", reason),

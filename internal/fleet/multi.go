@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"caasper/internal/billing"
+	"caasper/internal/core"
 	"caasper/internal/errs"
 	"caasper/internal/k8s"
 	"caasper/internal/recommend"
@@ -25,8 +26,19 @@ import (
 
 // multiState is the per-tenant multi-resource runtime state, owned by
 // exactly one tenant and touched from its phase-1 goroutine plus the
-// sequential phase 2. Bounds and policies are read off t.spec.
+// sequential phase 2. It also keeps the spec fields only the
+// multi-resource loop reads, so CPU-only tenants do not carry them.
 type multiState struct {
+	// rr is the tenant's resolved resource range.
+	rr core.ResourceRange
+	// mem and disk are the RAM and disk policies.
+	mem  recommend.MemoryPolicy
+	disk recommend.DiskPolicy
+	// stateless and seedMinutes are TenantSpec.Stateless and
+	// TenantSpec.SeedMinutes.
+	stateless   bool
+	seedMinutes int
+
 	// ram / dsk are the per-minute per-pod demand/usage series in GB
 	// (nil when the dimension is unmanaged).
 	ram, dsk []float64
@@ -49,19 +61,26 @@ type multiState struct {
 	ramMeter, diskMeter billing.Meter
 }
 
-// initMulti builds the tenant's multi-resource state from its resolved
-// spec: demand traces (derived deterministically from the CPU trace when
-// absent), initial grants, and per-dimension meters over the run's
-// billing period.
-func (t *tenant) initMulti(replicas, minutes int, period time.Duration, opts Options) error {
-	rr := t.spec.Resources
-	m := &multiState{replicas: replicas, seeding: -1}
+// initMulti builds the tenant's multi-resource state from its spec and
+// resolved range rr: demand traces (derived deterministically from the
+// CPU trace when absent), initial grants, and per-dimension meters over
+// the run's billing period.
+func (t *tenant) initMulti(spec *TenantSpec, rr core.ResourceRange, replicas, minutes int, period time.Duration, opts Options) error {
+	m := &multiState{
+		rr:          rr,
+		mem:         spec.Mem,
+		disk:        spec.Disk,
+		stateless:   spec.Stateless,
+		seedMinutes: spec.SeedMinutes,
+		replicas:    replicas,
+		seeding:     -1,
+	}
 	rates := billing.DefaultRates()
 	var err error
 	if rr.Max.RAMGB > 0 {
-		tr := t.spec.RAMTrace
+		tr := spec.RAMTrace
 		if tr == nil {
-			tr = workload.DeriveRAM(t.spec.Trace, 1, 0.5)
+			tr = workload.DeriveRAM(spec.Trace, 1, 0.5)
 		}
 		if m.ram, m.ramMeter, err = dimension("RAM", tr, minutes, opts.RAMPricePerGBPeriod, rates.RAMGBPeriod, period); err != nil {
 			return err
@@ -69,9 +88,9 @@ func (t *tenant) initMulti(replicas, minutes int, period time.Duration, opts Opt
 		m.ramAlloc = rr.Initial.RAMGB
 	}
 	if rr.Max.DiskGB > 0 {
-		tr := t.spec.DiskTrace
+		tr := spec.DiskTrace
 		if tr == nil {
-			tr = workload.DeriveDisk(t.spec.Trace, float64(rr.Initial.DiskGB)*0.5, 0.5)
+			tr = workload.DeriveDisk(spec.Trace, float64(rr.Initial.DiskGB)*0.5, 0.5)
 		}
 		if m.dsk, m.diskMeter, err = dimension("disk", tr, minutes, opts.DiskPricePerGBPeriod, rates.DiskGBPeriod, period); err != nil {
 			return err
@@ -134,7 +153,7 @@ func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
 		}
 		capf := limf * float64(serving)
 
-		demand := t.spec.Trace.Values[now]
+		demand := t.trace.Values[now]
 		if demand > m.cpuPeakTotal {
 			m.cpuPeakTotal = demand
 		}
@@ -202,17 +221,18 @@ func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
 // follow the shared vertical-first rule (recommend.OverflowReplicas) on
 // the segment's peak total CPU demand.
 func (t *tenant) decideMulti(limit, target int) {
-	m, rr := t.mr, t.spec.Resources
+	m := t.mr
+	rr := m.rr
 	ram := m.ramAlloc
 	if m.ram != nil {
-		ram = t.spec.Mem.Target(m.ramAlloc, m.ramPeak, rr.Min.RAMGB, rr.Max.RAMGB)
+		ram = m.mem.Target(m.ramAlloc, m.ramPeak, rr.Min.RAMGB, rr.Max.RAMGB)
 	}
 	disk := m.diskAlloc
 	if m.dsk != nil {
-		disk = t.spec.Disk.Target(m.diskAlloc, m.diskHigh, rr.Max.DiskGB)
+		disk = m.disk.Target(m.diskAlloc, m.diskHigh, rr.Max.DiskGB)
 	}
 	reps := m.replicas
-	if t.spec.Stateless {
+	if m.stateless {
 		reps = recommend.OverflowReplicas(reps, rr.Min.Replicas, rr.Max.Replicas, target, rr.Max.CPUCores, m.cpuPeakTotal)
 	}
 

@@ -14,8 +14,9 @@ type Node struct {
 	Allocatable Resources
 	// allocated is the sum of requests of pods bound to the node.
 	allocated Resources
-	// pods maps pod name → bound pod.
-	pods map[string]*Pod
+	// pods counts the pods bound to the node; a pod's Node field is
+	// what records the binding.
+	pods int
 }
 
 // NewNode builds a node.
@@ -23,7 +24,6 @@ func NewNode(name string, cpuCores int, memGiB float64) *Node {
 	return &Node{
 		Name:        name,
 		Allocatable: Resources{CPUCores: float64(cpuCores), MemoryGiB: memGiB},
-		pods:        make(map[string]*Pod),
 	}
 }
 
@@ -31,7 +31,7 @@ func NewNode(name string, cpuCores int, memGiB float64) *Node {
 func (n *Node) Free() Resources { return n.Allocatable.Sub(n.allocated) }
 
 // PodCount returns the number of pods bound to the node.
-func (n *Node) PodCount() int { return len(n.pods) }
+func (n *Node) PodCount() int { return n.pods }
 
 // Cluster is a set of nodes plus the scheduler.
 type Cluster struct {
@@ -131,7 +131,7 @@ func (c *Cluster) Schedule(p *Pod) error {
 			p.Name, p.Spec.Requests.CPUCores, p.Spec.Requests.MemoryGiB, c.pressure)
 	}
 	n := best
-	n.pods[p.Name] = p
+	n.pods++
 	n.allocated = n.allocated.Add(p.Spec.Requests)
 	p.Node = n
 	return nil
@@ -144,10 +144,8 @@ func (c *Cluster) Evict(p *Pod) {
 	if n == nil {
 		return
 	}
-	if _, ok := n.pods[p.Name]; ok {
-		delete(n.pods, p.Name)
-		n.allocated = n.allocated.Sub(p.Spec.Requests)
-	}
+	n.pods--
+	n.allocated = n.allocated.Sub(p.Spec.Requests)
 	p.Node = nil
 }
 

@@ -121,17 +121,27 @@ func TestSchedulerSpreadsAndRespectsCapacity(t *testing.T) {
 	}
 	// Evicting both pods of one node frees enough for the 6-core pod.
 	evicted := p1.Node
+	if got := evicted.PodCount(); got != 2 {
+		t.Errorf("%s holds %d pods, want 2", evicted.Name, got)
+	}
 	c.Evict(p1)
 	if p1.Node != nil {
 		t.Error("evict should clear binding")
 	}
+	c.Evict(p1) // a second evict of the same pod must not count it again
 	for _, p := range []*Pod{p2, p3, p4} {
 		if p.Node == evicted {
 			c.Evict(p)
 		}
 	}
+	if got := evicted.PodCount(); got != 0 {
+		t.Errorf("%s holds %d pods after its evictions, want 0", evicted.Name, got)
+	}
 	if err := c.Schedule(p5); err != nil {
 		t.Errorf("after evictions, 6-core pod should fit: %v", err)
+	}
+	if got := p5.Node.PodCount(); got != 1 {
+		t.Errorf("%s holds %d pods, want 1", p5.Node.Name, got)
 	}
 	// Rescheduling a running pod is rejected.
 	p5.Phase = PhaseRunning

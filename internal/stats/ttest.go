@@ -61,6 +61,56 @@ func PairedTTest(a, b []float64) (TTestResult, error) {
 	return TTestResult{T: t, DF: df, P: p, MeanDiff: md, N: n}, nil
 }
 
+// WelchResult holds the outcome of Welch's two-sample t-test.
+type WelchResult struct {
+	// T is the test statistic: (mean(a) − mean(b)) / sqrt(va/na + vb/nb)
+	// with unbiased sample variances va and vb.
+	T float64
+	// DF is the Welch–Satterthwaite degrees of freedom,
+	// (va/na + vb/nb)² / ((va/na)²/(na−1) + (vb/nb)²/(nb−1)); it is
+	// fractional in general.
+	DF float64
+	// P is the two-sided p-value.
+	P float64
+	// MeanDiff is mean(a) − mean(b).
+	MeanDiff float64
+	// NA and NB are the sample sizes.
+	NA, NB int
+}
+
+// Significant reports whether the test rejects the null hypothesis of equal
+// means at significance level alpha (e.g. 0.05).
+func (r WelchResult) Significant(alpha float64) bool { return r.P < alpha }
+
+// WelchTTest performs Welch's two-sided t-test of equal means on two
+// independent samples whose variances may differ — the comparison of two
+// sets of benchmark runs, which share no pairing and whose spreads
+// differ from one build to the next. With equal sizes and equal
+// variances it reduces to the pooled Student t-test.
+//
+// Each sample needs at least 2 values. When both samples have zero
+// variance the statistic is undefined and WelchTTest returns an error.
+func WelchTTest(a, b []float64) (WelchResult, error) {
+	na, nb := len(a), len(b)
+	if na < 2 || nb < 2 {
+		return WelchResult{}, errors.New("stats: Welch t-test requires at least 2 values per sample")
+	}
+	sa := Variance(a) / float64(na)
+	sb := Variance(b) / float64(nb)
+	se2 := sa + sb
+	if se2 == 0 {
+		return WelchResult{}, errors.New("stats: Welch t-test is undefined when both samples have zero variance")
+	}
+	md := Mean(a) - Mean(b)
+	t := md / math.Sqrt(se2)
+	df := se2 * se2 / (sa*sa/float64(na-1) + sb*sb/float64(nb-1))
+	p := 2 * studentTSF(math.Abs(t), df)
+	if p > 1 {
+		p = 1
+	}
+	return WelchResult{T: t, DF: df, P: p, MeanDiff: md, NA: na, NB: nb}, nil
+}
+
 // studentTSF returns P(T > t) for a Student t distribution with df degrees
 // of freedom, via the regularised incomplete beta function:
 //
